@@ -1,22 +1,27 @@
 // Plan persistence benchmark: what does reuse of an analyzed BlockPlan buy?
 //
 // Table 5 of the paper prices preprocessing at many single-solve
-// equivalents; ISSUE 4's persistence subsystem lets a service pay it once.
+// equivalents; the persistence subsystem lets a service pay it once.
 // For each partition scheme this bench measures the three ways to obtain a
 // ready solver for a pattern that has been analyzed before:
 //
 //   cold_ms      create() from scratch — full planning + level analyses
-//   load_ms      create_from_file(): deserialize + rehydrate + refresh
+//   load_ms      create_from_file(): deserialize + validate + build the
+//                blocks from permute_symmetric(lower) and the decisions
 //   hit_ms       create(..., &cache) on a warm PlanCache hit
 //   refresh_ms   refresh_values() on a live solver (new factorization,
 //                same pattern — the timestep-loop case)
 //
 // and reports warm/cold ratios of (create + one solve), the quantity a
-// request-serving loop sees. Acceptance (ISSUE 4): on the recursive scheme
-// the warm create+solve must come in under 0.5x the cold create+solve.
+// request-serving loop sees. Acceptance: on the recursive scheme the warm
+// create+solve must come in under 0.5x the cold create+solve.
 //
 //   ./bench/plan_cache [--n=120000] [--min-ms=40] [--out=BENCH_cache.json]
 //                      [--tiny] [--legacy-timing]
+//                      [--git-sha=$(git rev-parse HEAD)]
+//
+// The JSON opens with a machine block: cores, SIMD ISA, compiler, build
+// flags and the git SHA passed in (the binary cannot know it itself).
 //
 // --tiny is the CI smoke mode: small matrix, short timings, still
 // exercising save/load/cache-hit/refresh on every scheme and the JSON
@@ -30,6 +35,7 @@
 #include <vector>
 
 #include "blocktri.hpp"
+#include "common/simd.hpp"
 #include "harness.hpp"
 
 using namespace blocktri;
@@ -81,15 +87,20 @@ void emit(std::vector<Record>* out, Record r) {
   out->push_back(r);
 }
 
-void write_json(const std::string& path, const std::vector<Record>& recs) {
+void write_json(const std::string& path, const std::vector<Record>& recs,
+                const std::string& git_sha) {
   FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
     std::exit(1);
   }
   std::fprintf(f, "{\n  \"bench\": \"plan_cache\",\n");
-  std::fprintf(f, "  \"hardware_concurrency\": %u,\n",
-               std::thread::hardware_concurrency());
+  std::fprintf(f,
+               "  \"machine\": {\"hardware_concurrency\": %u, "
+               "\"vector_isa\": \"%s\", \"compiler\": \"%s\", "
+               "\"flags\": \"%s\", \"git_sha\": \"%s\"},\n",
+               std::thread::hardware_concurrency(), simd::vector_isa_name(),
+               BLOCKTRI_BENCH_COMPILER, BLOCKTRI_BENCH_FLAGS, git_sha.c_str());
   std::fprintf(f, "  \"records\": [\n");
   for (std::size_t i = 0; i < recs.size(); ++i) {
     const Record& r = recs[i];
@@ -122,6 +133,7 @@ int main(int argc, char** argv) {
   const auto n =
       static_cast<index_t>(cli.get_int("n", tiny ? 10000 : 120000));
   const std::string out_path = cli.get("out", "BENCH_cache.json");
+  const std::string git_sha = cli.get("git-sha", "unknown");
   bench::TimingOptions topt;
   topt.min_ms = min_ms;
   topt.repeats = tiny ? 3 : 5;
@@ -222,7 +234,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  write_json(out_path, recs);
+  write_json(out_path, recs, git_sha);
   std::fprintf(stderr, "wrote %s (%zu records)\n", out_path.c_str(),
                recs.size());
 

@@ -10,7 +10,7 @@
 //   * bitwise equality — every sharded epoch's panel is memcmp-identical to
 //     the single-process solve_many, at every shard count,
 //   * warm start — workers rehydrate their slices through the persisted
-//     format-v3 artifacts with ZERO level-set re-analysis
+//     slice artifacts with ZERO level-set re-analysis
 //     (worker_level_analyses stays 0 across spawns and epochs),
 //   * overlap — boundary squares flow through the halo_ready/halo_deferred
 //     two-pass executor, not a global barrier.
@@ -73,7 +73,7 @@ double halo_bytes_per_epoch(const PlanArtifact<double>& art,
       for (const shard::LocalStep& ls : wave) {
         if (ls.waits.empty()) continue;
         const auto& ref =
-            slice.squares[static_cast<std::size_t>(ls.step.index)].ref;
+            slice.plan.squares[static_cast<std::size_t>(ls.step.index)];
         const index_t lo = std::max(ref.c0, slice.shard_row_begin);
         const index_t hi = std::min(ref.c1, slice.shard_row_end);
         const index_t local = std::max<index_t>(0, hi - lo);

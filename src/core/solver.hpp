@@ -44,6 +44,8 @@ namespace blocktri {
 
 template <class T>
 struct PlanArtifact;  // persist/artifact.hpp
+struct TriBlockArtifact;
+struct SquareBlockArtifact;
 template <class T>
 class PlanCache;  // persist/plan_cache.hpp
 
@@ -166,10 +168,11 @@ class BlockSolver {
     /// options fingerprint, so cached plans are reusable across it.
     bool collect_stats = false;
 
-    /// Robustness knobs for solve_checked. `enabled` keeps the (permuted)
-    /// matrix and per-block CSR copies around — required by the residual
-    /// check, refinement and fallback ladder; disable to reclaim the memory
-    /// when only the unchecked solve()/solve_simulated() paths are used.
+    /// Robustness knobs for solve_checked. `enabled` keeps per-block CSR
+    /// copies around for the fallback ladder (the permuted matrix the
+    /// residual check and refinement read is always kept: it is what
+    /// capture_artifact persists); disable to reclaim that memory when only
+    /// the unchecked solve()/solve_simulated() paths are used.
     struct VerifyOptions {
       bool enabled = true;
       double tolerance = 0.0;  // 0 → 100 · n · eps(T)
@@ -293,25 +296,27 @@ class BlockSolver {
 
   // --- Plan persistence (persist/artifact.hpp, persist/plan_cache.hpp) -----
 
-  /// Snapshots everything preprocessing computed — plan, waves, kernel
-  /// selections, built block structures, verify state — as plain data.
+  /// Snapshots what preprocessing decided — plan, waves, kernel selections,
+  /// level sets, tuning record — plus the permuted matrix, as plain data.
   PlanArtifact<T> capture_artifact() const;
 
   /// capture_artifact() + persist::save_artifact in one call.
   Status save_artifact(const std::string& path) const;
 
-  /// Rehydrates a solver from a (shared, immutable) artifact with zero
-  /// re-analysis. Fails with kInvalidArgument when `opt`'s plan-affecting
-  /// fields differ from those the artifact was captured under (fingerprint
-  /// mismatch — e.g. verify wanted but not captured). The artifact's numeric
-  /// values are adopted as-is; call refresh_values to install a new
-  /// factorization with the same pattern.
+  /// Rehydrates a solver from a (shared, immutable) artifact with zero level
+  /// analysis: every block structure is derived from the artifact's permuted
+  /// matrix and decisions. Fails with kInvalidArgument when `opt`'s
+  /// plan-affecting fields differ from those the artifact was captured under
+  /// (fingerprint mismatch). The artifact's numeric values are adopted
+  /// as-is; call refresh_values to install a new factorization with the same
+  /// pattern.
   static Status create_from_artifact(
       std::shared_ptr<const PlanArtifact<T>> art, const Options& opt,
       std::unique_ptr<BlockSolver<T>>* out);
 
-  /// load_artifact(path) + structure check against `lower` +
-  /// create_from_artifact + refresh_values(lower): the full warm-start path.
+  /// load_artifact(path) + structure check against `lower`, then every block
+  /// structure is built from permute_symmetric(lower) and the artifact's
+  /// decisions: the full warm-start path, solving with `lower`'s values.
   /// Adds kStructureMismatch when `lower`'s pattern differs from the one the
   /// artifact was captured from. Transient I/O failures (kIoError) are
   /// retried with jittered exponential backoff per opt.session; permanent
@@ -530,13 +535,35 @@ class BlockSolver {
   const tune::TuneStats& tune_stats() const { return tune_stats_; }
 
  private:
-  /// Rehydration: adopt a captured artifact instead of analyzing. The
-  /// fingerprint/verify preconditions are create_from_artifact's job.
-  BlockSolver(const PlanArtifact<T>& art, const Options& opt);
+  /// Rehydration: adopt a validated artifact's decisions instead of
+  /// analyzing. The blocks are built from permute_symmetric(*lower) when
+  /// `lower` is given (its pattern must equal art.stored's, else it throws
+  /// kStructureMismatch) and from art.stored otherwise.
+  BlockSolver(const PlanArtifact<T>& art, const Csr<T>* lower,
+              const Options& opt);
+
+  /// Fingerprint check + the rehydration constructor, with any invariant
+  /// throw mapped back to its Status. `art` must already be validated.
+  static Status rehydrate(const PlanArtifact<T>& art, const Csr<T>* lower,
+                          const Options& opt,
+                          std::unique_ptr<BlockSolver<T>>* out);
+
+  /// The one block-building routine of the cold and artifact constructors:
+  /// extracts every triangle and square from stored_ — rows [row_begin,
+  /// row_begin + stored_.nrows) of the permuted matrix, all of it except in
+  /// a shard worker — and builds its kernel structure from the per-block
+  /// decisions. With `tri`/`squares` null (a cold untuned build) the kernels
+  /// are selected here from each extracted block's features. Level-scheduled
+  /// kinds adopt the decision's level sets when it carries them and analyse
+  /// otherwise. Blocks outside the row range keep their decisions but get no
+  /// kernel (a shard worker never executes them). Finishes construction:
+  /// ‖L‖∞, simulated address layout, workspace pool, fault hook.
+  void build_blocks(index_t row_begin, const std::vector<TriBlockArtifact>* tri,
+                    const std::vector<SquareBlockArtifact>* squares);
 
   struct TriBlock {
     TriBlockInfo info;
-    Csr<T> csr;  // retained when verify.enabled: fallback + refinement input
+    Csr<T> csr;  // kept when verify.enabled: fallback + refinement input
     std::unique_ptr<DiagonalSolver<T>> diag;
     std::unique_ptr<LevelSetSolver<T>> levelset;
     std::unique_ptr<SyncFreeSolver<T>> syncfree;
@@ -609,8 +636,8 @@ class BlockSolver {
   /// blocks' execution groups.
   void accumulate_op_stats(SolveReport* rep) const;
   /// Computes tri_scratch_len_ (largest syncfree block × kRhsTile); called
-  /// at the end of both constructors so leased workspaces size their
-  /// scratch once and warm solves never grow it.
+  /// by build_blocks so leased workspaces size their scratch once and warm
+  /// solves never grow it.
   void size_tri_scratch();
 
   /// Shared body of the panel solves. Exactly one of `B`/`Bs` is non-null
@@ -629,8 +656,8 @@ class BlockSolver {
   std::vector<std::vector<ExecStep>> waves_;
   BlockPlan plan_;
   offset_t nnz_ = 0;
-  Csr<T> stored_;          // permuted matrix, retained when verify.enabled
-  double norm_inf_ = 0.0;  // ‖L‖∞ of stored_
+  Csr<T> stored_;          // permuted matrix (a shard worker: its rows)
+  double norm_inf_ = 0.0;  // ‖L‖∞ of stored_, when verify.enabled
   std::vector<TriBlock> tri_;
   std::vector<SquareBlock> squares_;
   std::vector<TriBlockInfo> tri_info_;

@@ -1,10 +1,12 @@
 #include "persist/artifact.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <type_traits>
+#include <utility>
 
 #include "common/io.hpp"
 #include "common/prefix.hpp"
@@ -140,37 +142,6 @@ bool get_csr(Reader& r, Csr<T>* a) {
          r.vec(&a->col_idx) && r.vec(&a->val);
 }
 
-template <class T>
-void put_csc(Writer& w, const Csc<T>& a) {
-  w.i32(a.nrows);
-  w.i32(a.ncols);
-  w.vec(a.col_ptr);
-  w.vec(a.row_idx);
-  w.vec(a.val);
-}
-
-template <class T>
-bool get_csc(Reader& r, Csc<T>* a) {
-  return r.i32(&a->nrows) && r.i32(&a->ncols) && r.vec(&a->col_ptr) &&
-         r.vec(&a->row_idx) && r.vec(&a->val);
-}
-
-template <class T>
-void put_dcsr(Writer& w, const Dcsr<T>& a) {
-  w.i32(a.nrows);
-  w.i32(a.ncols);
-  w.vec(a.row_ids);
-  w.vec(a.row_ptr);
-  w.vec(a.col_idx);
-  w.vec(a.val);
-}
-
-template <class T>
-bool get_dcsr(Reader& r, Dcsr<T>* a) {
-  return r.i32(&a->nrows) && r.i32(&a->ncols) && r.vec(&a->row_ids) &&
-         r.vec(&a->row_ptr) && r.vec(&a->col_idx) && r.vec(&a->val);
-}
-
 void put_levels(Writer& w, const LevelSets& ls) {
   w.i32(ls.nlevels);
   w.vec(ls.level_of);
@@ -190,9 +161,9 @@ enum : std::uint32_t {
   kSectionStored = 2,
   kSectionTri = 3,
   kSectionSquares = 4,
-  kSectionTuning = 5,  // optional (format version 2, tuned plans only)
-  kSectionShard = 6,   // optional (format version 3, shard slices only)
-  kSectionColor = 7,   // optional (format version 4, HBMC plans only)
+  kSectionTuning = 5,  // optional: tuned plans only
+  kSectionShard = 6,   // optional: shard slices only
+  kSectionColor = 7,   // optional: HBMC plans only
 };
 
 template <class T>
@@ -282,89 +253,41 @@ bool decode_plan(Reader& r, PlanArtifact<T>* art) {
 
 template <class T>
 void encode_stored(Writer& w, const PlanArtifact<T>& art) {
-  w.u32(art.verify_captured ? 1 : 0);
-  if (art.verify_captured) {
-    put_csr(w, art.stored);
-    w.f64(art.norm_inf);
-  }
+  put_csr(w, art.stored);
 }
 
 template <class T>
 bool decode_stored(Reader& r, PlanArtifact<T>* art) {
-  std::uint32_t captured = 0;
-  if (!r.u32(&captured)) return false;
-  art->verify_captured = captured != 0;
-  if (!art->verify_captured) return true;
-  return get_csr(r, &art->stored) && r.f64(&art->norm_inf);
+  return get_csr(r, &art->stored);
+}
+
+bool has_levels(TriKernelKind kind) {
+  return kind == TriKernelKind::kLevelSet ||
+         kind == TriKernelKind::kCusparseLike;
 }
 
 template <class T>
 void encode_tri(Writer& w, const PlanArtifact<T>& art) {
   w.u64(art.tri.size());
-  for (const TriBlockArtifact<T>& t : art.tri) {
-    w.i32(t.r0);
-    w.i32(t.r1);
+  for (const TriBlockArtifact& t : art.tri) {
     w.u32(static_cast<std::uint32_t>(t.kind));
     w.i32(t.nlevels);
-    w.i64(t.nnz);
-    w.u32(t.has_csr ? 1 : 0);
-    if (t.has_csr) put_csr(w, t.csr);
-    switch (t.kind) {
-      case TriKernelKind::kCompletelyParallel:
-        w.vec(t.diag);
-        break;
-      case TriKernelKind::kLevelSet:
-        put_csr(w, t.kernel_csr);
-        put_levels(w, t.levels);
-        break;
-      case TriKernelKind::kSyncFree:
-        put_csc(w, t.csc);
-        put_csr(w, t.strict_rows);
-        w.vec(t.in_degree);
-        break;
-      case TriKernelKind::kCusparseLike:
-        put_csr(w, t.kernel_csr);
-        put_levels(w, t.levels);
-        w.vec(t.kernel_first_level);
-        break;
-    }
+    if (has_levels(t.kind)) put_levels(w, t.levels);
   }
 }
 
 template <class T>
 bool decode_tri(Reader& r, PlanArtifact<T>* art) {
   std::uint64_t count = 0;
-  if (!r.u64(&count) || !r.count_ok(count, 24)) return false;
+  if (!r.u64(&count) || !r.count_ok(count, 8)) return false;
   art->tri.resize(static_cast<std::size_t>(count));
-  for (TriBlockArtifact<T>& t : art->tri) {
-    std::uint32_t kind = 0, has_csr = 0;
-    if (!r.i32(&t.r0) || !r.i32(&t.r1) || !r.u32(&kind) ||
-        !r.i32(&t.nlevels) || !r.i64(&t.nnz) || !r.u32(&has_csr))
-      return false;
+  for (TriBlockArtifact& t : art->tri) {
+    std::uint32_t kind = 0;
+    if (!r.u32(&kind) || !r.i32(&t.nlevels)) return false;
     if (kind > static_cast<std::uint32_t>(TriKernelKind::kCusparseLike))
       return r.corrupt("triangular kernel kind out of range");
     t.kind = static_cast<TriKernelKind>(kind);
-    t.has_csr = has_csr != 0;
-    if (t.has_csr && !get_csr(r, &t.csr)) return false;
-    switch (t.kind) {
-      case TriKernelKind::kCompletelyParallel:
-        if (!r.vec(&t.diag)) return false;
-        break;
-      case TriKernelKind::kLevelSet:
-        if (!get_csr(r, &t.kernel_csr) || !get_levels(r, &t.levels))
-          return false;
-        break;
-      case TriKernelKind::kSyncFree:
-        if (!get_csc(r, &t.csc) || !get_csr(r, &t.strict_rows) ||
-            !r.vec(&t.in_degree))
-          return false;
-        break;
-      case TriKernelKind::kCusparseLike:
-        if (!get_csr(r, &t.kernel_csr) || !get_levels(r, &t.levels) ||
-            !r.vec(&t.kernel_first_level))
-          return false;
-        break;
-    }
+    if (has_levels(t.kind) && !get_levels(r, &t.levels)) return false;
   }
   return true;
 }
@@ -372,44 +295,23 @@ bool decode_tri(Reader& r, PlanArtifact<T>* art) {
 template <class T>
 void encode_squares(Writer& w, const PlanArtifact<T>& art) {
   w.u64(art.squares.size());
-  for (const SquareBlockArtifact<T>& q : art.squares) {
-    w.i32(q.ref.r0);
-    w.i32(q.ref.r1);
-    w.i32(q.ref.c0);
-    w.i32(q.ref.c1);
+  for (const SquareBlockArtifact& q : art.squares) {
     w.u32(static_cast<std::uint32_t>(q.kind));
-    w.i64(q.nnz);
     w.f64(q.empty_ratio);
-    const bool dcsr = q.kind == SpmvKernelKind::kScalarDcsr ||
-                      q.kind == SpmvKernelKind::kVectorDcsr;
-    if (dcsr && q.nnz != 0)
-      put_dcsr(w, q.dcsr);
-    else
-      put_csr(w, q.csr);
   }
 }
 
 template <class T>
 bool decode_squares(Reader& r, PlanArtifact<T>* art) {
   std::uint64_t count = 0;
-  if (!r.u64(&count) || !r.count_ok(count, 36)) return false;
+  if (!r.u64(&count) || !r.count_ok(count, 12)) return false;
   art->squares.resize(static_cast<std::size_t>(count));
-  for (SquareBlockArtifact<T>& q : art->squares) {
+  for (SquareBlockArtifact& q : art->squares) {
     std::uint32_t kind = 0;
-    if (!r.i32(&q.ref.r0) || !r.i32(&q.ref.r1) || !r.i32(&q.ref.c0) ||
-        !r.i32(&q.ref.c1) || !r.u32(&kind) || !r.i64(&q.nnz) ||
-        !r.f64(&q.empty_ratio))
-      return false;
+    if (!r.u32(&kind) || !r.f64(&q.empty_ratio)) return false;
     if (kind > static_cast<std::uint32_t>(SpmvKernelKind::kVectorDcsr))
       return r.corrupt("square kernel kind out of range");
     q.kind = static_cast<SpmvKernelKind>(kind);
-    const bool dcsr = q.kind == SpmvKernelKind::kScalarDcsr ||
-                      q.kind == SpmvKernelKind::kVectorDcsr;
-    if (dcsr && q.nnz != 0) {
-      if (!get_dcsr(r, &q.dcsr)) return false;
-    } else {
-      if (!get_csr(r, &q.csr)) return false;
-    }
   }
   return true;
 }
@@ -447,38 +349,18 @@ void encode_shard(Writer& w, const PlanArtifact<T>& art) {
   w.i32(art.shard_row_begin);
   w.i32(art.shard_row_end);
   w.vec(art.shard_bounds);
-  std::vector<std::uint8_t> tri_pop(art.tri.size()), sq_pop(art.squares.size());
-  for (std::size_t t = 0; t < art.tri.size(); ++t)
-    tri_pop[t] = art.tri[t].populated ? 1 : 0;
-  for (std::size_t q = 0; q < art.squares.size(); ++q)
-    sq_pop[q] = art.squares[q].populated ? 1 : 0;
-  w.vec(tri_pop);
-  w.vec(sq_pop);
 }
 
-/// The shard section references the tri/square arrays, so it can only be
-/// applied after those sections decoded; save_artifact writes it last and a
-/// reordered (crafted) file fails the size cross-checks here.
 template <class T>
 bool decode_shard(Reader& r, PlanArtifact<T>* art) {
-  std::vector<std::uint8_t> tri_pop, sq_pop;
-  if (!r.u32(&art->shard_index) || !r.u32(&art->shard_count) ||
-      !r.i32(&art->shard_row_begin) || !r.i32(&art->shard_row_end) ||
-      !r.vec(&art->shard_bounds) || !r.vec(&tri_pop) || !r.vec(&sq_pop))
-    return false;
-  if (tri_pop.size() != art->tri.size() || sq_pop.size() != art->squares.size())
-    return r.corrupt("shard section does not match the block sections");
   art->shard = true;
-  for (std::size_t t = 0; t < tri_pop.size(); ++t)
-    art->tri[t].populated = tri_pop[t] != 0;
-  for (std::size_t q = 0; q < sq_pop.size(); ++q)
-    art->squares[q].populated = sq_pop[q] != 0;
-  return true;
+  return r.u32(&art->shard_index) && r.u32(&art->shard_count) &&
+         r.i32(&art->shard_row_begin) && r.i32(&art->shard_row_end) &&
+         r.vec(&art->shard_bounds);
 }
 
 /// HBMC color record (DESIGN.md §16). The fields live inside the BlockPlan;
-/// they get their own section (instead of extending kSectionPlan) so every
-/// non-HBMC artifact's plan bytes stay identical to format versions 1-3.
+/// only HBMC plans carry them, so they get an optional section of their own.
 template <class T>
 void encode_color(Writer& w, const PlanArtifact<T>& art) {
   w.vec(art.plan.color_bounds);
@@ -506,41 +388,27 @@ struct SectionSpec {
   std::vector<unsigned char> payload;
 };
 
-template <class T>
-std::size_t csr_bytes(const Csr<T>& a) {
-  return a.row_ptr.size() * sizeof(offset_t) +
-         a.col_idx.size() * sizeof(index_t) + a.val.size() * sizeof(T);
-}
-
 }  // namespace
 
 template <class T>
 std::size_t artifact_bytes(const PlanArtifact<T>& art) {
   std::size_t b = sizeof(PlanArtifact<T>);
   b += art.plan.new_of_old.size() * sizeof(index_t);
-  b += art.plan.tri_bounds.size() * sizeof(index_t);
+  b += (art.plan.tri_bounds.size() + art.plan.color_bounds.size() +
+        art.shard_bounds.size()) *
+       sizeof(index_t);
   b += art.plan.squares.size() * sizeof(SquareBlockRef);
   b += art.plan.steps.size() * sizeof(ExecStep);
   for (const auto& wave : art.waves) b += wave.size() * sizeof(ExecStep);
-  b += csr_bytes(art.stored);
-  for (const TriBlockArtifact<T>& t : art.tri) {
-    b += sizeof(TriBlockArtifact<T>);
-    b += csr_bytes(t.csr) + csr_bytes(t.kernel_csr) + csr_bytes(t.strict_rows);
-    b += t.diag.size() * sizeof(T);
-    b += t.csc.col_ptr.size() * sizeof(offset_t) +
-         t.csc.row_idx.size() * sizeof(index_t) + t.csc.val.size() * sizeof(T);
-    b += t.levels.level_of.size() * sizeof(index_t) +
-         t.levels.level_ptr.size() * sizeof(offset_t) +
-         t.levels.level_item.size() * sizeof(index_t);
-    b += (t.kernel_first_level.size() + t.in_degree.size()) * sizeof(index_t);
-  }
-  for (const SquareBlockArtifact<T>& q : art.squares) {
-    b += sizeof(SquareBlockArtifact<T>);
-    b += csr_bytes(q.csr);
-    b += (q.dcsr.row_ids.size() + q.dcsr.col_idx.size()) * sizeof(index_t) +
-         q.dcsr.row_ptr.size() * sizeof(offset_t) +
-         q.dcsr.val.size() * sizeof(T);
-  }
+  b += art.stored.row_ptr.size() * sizeof(offset_t) +
+       art.stored.col_idx.size() * sizeof(index_t) +
+       art.stored.val.size() * sizeof(T);
+  for (const TriBlockArtifact& t : art.tri)
+    b += sizeof(TriBlockArtifact) +
+         (t.levels.level_of.size() + t.levels.level_item.size()) *
+             sizeof(index_t) +
+         t.levels.level_ptr.size() * sizeof(offset_t);
+  b += art.squares.size() * sizeof(SquareBlockArtifact);
   return b;
 }
 
@@ -579,8 +447,7 @@ Status save_artifact(const std::string& path, const PlanArtifact<T>& art) {
     encode_shard(w, art);
     sections.push_back({kSectionShard, w.bytes()});
   }
-  const bool color = !art.plan.color_bounds.empty();
-  if (color) {
+  if (!art.plan.color_bounds.empty()) {
     Writer w;
     encode_color(w, art);
     sections.push_back({kSectionColor, w.bytes()});
@@ -588,12 +455,7 @@ Status save_artifact(const std::string& path, const PlanArtifact<T>& art) {
 
   Writer file;
   file.raw(kMagic, sizeof kMagic);
-  // Each file claims the oldest version that can describe it, so plain
-  // artifacts stay byte-identical to (and loadable by) pre-tuner builds:
-  // version 1 untuned, version 2 tuned, version 3 shard slices, version 4
-  // only for HBMC plans (the color section).
-  file.u32(color ? kArtifactFormatVersion
-                 : (art.shard ? 3u : (art.tuned ? 2u : 1u)));
+  file.u32(kArtifactFormatVersion);
   file.u32(kEndianTag);
   file.u32(static_cast<std::uint32_t>(sizeof(T)));
   file.u64(art.structure);
@@ -689,11 +551,12 @@ Status load_artifact(const std::string& path, PlanArtifact<T>* out) {
     return Status(StatusCode::kBadFormat,
                   "'" + path + "' is not a blocktri plan artifact (bad magic)");
   if (!header.u32(&version)) return header.status();
-  if (version < 1 || version > kArtifactFormatVersion)
+  if (version != kArtifactFormatVersion)
     return Status(StatusCode::kVersionMismatch,
                   "artifact format version " + std::to_string(version) +
-                      ", this build reads versions 1-" +
-                      std::to_string(kArtifactFormatVersion));
+                      ", this build reads only version " +
+                      std::to_string(kArtifactFormatVersion) +
+                      " (recapture the plan from the matrix)");
   if (!header.u32(&endian)) return header.status();
   if (endian != kEndianTag)
     return Status(StatusCode::kBadFormat,
@@ -771,11 +634,6 @@ Status bad(const std::string& what) {
   return Status(StatusCode::kBadFormat, "artifact invalid: " + what);
 }
 
-// The executors index with artifact contents unchecked (permute_vector
-// writes out[new_of_old[i]], spmv writes y[row_ids[r]], kernels read
-// x[col_idx[k]]), so validation must prove every stored index in-bounds —
-// a CRC-valid but crafted file has to be rejected here, not crash later.
-
 bool indices_in_range(const std::vector<index_t>& idx, index_t limit) {
   for (const index_t v : idx)
     if (v < 0 || v >= limit) return false;
@@ -783,7 +641,7 @@ bool indices_in_range(const std::vector<index_t>& idx, index_t limit) {
 }
 
 /// front == 0, monotonically non-decreasing, back == nnz — the shape every
-/// compressed pointer array (row_ptr / col_ptr / level_ptr) must have for
+/// compressed pointer array (row_ptr / level_ptr) must have for
 /// `ptr[i]..ptr[i+1]` loops to stay inside the payload arrays.
 bool ptr_consistent(const std::vector<offset_t>& ptr, std::size_t nnz) {
   if (ptr.empty() || ptr.front() != 0 ||
@@ -794,50 +652,95 @@ bool ptr_consistent(const std::vector<offset_t>& ptr, std::size_t nnz) {
   return true;
 }
 
-template <class T>
-Status check_csr_shape(const Csr<T>& a, index_t nrows, index_t ncols,
-                       const char* what) {
-  if (a.nrows != nrows || a.ncols != ncols ||
-      a.row_ptr.size() != static_cast<std::size_t>(nrows) + 1 ||
-      a.col_idx.size() != a.val.size())
-    return bad(std::string(what) + " CSR shape is inconsistent");
-  if (!ptr_consistent(a.row_ptr, a.val.size()))
-    return bad(std::string(what) + " CSR pointers are inconsistent");
-  if (!indices_in_range(a.col_idx, ncols))
-    return bad(std::string(what) + " CSR column index out of range");
-  return Status::Ok();
+bool on_leaf_grid(const std::vector<index_t>& tri_bounds, index_t row) {
+  return std::binary_search(tri_bounds.begin(), tri_bounds.end(), row);
 }
 
-/// A triangular kernel CSR additionally needs every row non-empty with the
-/// diagonal as its last entry and nothing above the diagonal — the solvers
-/// divide by val[row_ptr[i+1] - 1] and gather x from the preceding entries.
+/// `stored` must be rows [row_begin, row_begin + nrows) of an n × n lower
+/// triangle: each row non-empty, columns strictly ascending (extract_block
+/// binary-searches them) and non-negative, the diagonal last — the kernels
+/// built from it divide by the trailing entry and gather x from the others.
 template <class T>
-Status check_tri_csr(const Csr<T>& a, const char* what) {
+Status check_stored(const Csr<T>& a, index_t row_begin, index_t row_end,
+                    index_t n) {
+  if (a.nrows != row_end - row_begin || a.ncols != n ||
+      a.row_ptr.size() != static_cast<std::size_t>(a.nrows) + 1 ||
+      a.col_idx.size() != a.val.size())
+    return bad("stored matrix shape does not match its row range");
+  if (!ptr_consistent(a.row_ptr, a.val.size()))
+    return bad("stored matrix row pointers are inconsistent");
   for (index_t i = 0; i < a.nrows; ++i) {
-    const offset_t lo = a.row_ptr[static_cast<std::size_t>(i)];
-    const offset_t hi = a.row_ptr[static_cast<std::size_t>(i) + 1];
-    if (hi <= lo ||
-        a.col_idx[static_cast<std::size_t>(hi) - 1] != i)
-      return bad(std::string(what) + " row lacks a trailing diagonal entry");
-    for (offset_t k = lo; k < hi; ++k)
-      if (a.col_idx[static_cast<std::size_t>(k)] > i)
-        return bad(std::string(what) + " has an entry above the diagonal");
+    const auto lo = static_cast<std::size_t>(a.row_ptr[static_cast<std::size_t>(i)]);
+    const auto hi = static_cast<std::size_t>(a.row_ptr[static_cast<std::size_t>(i) + 1]);
+    if (hi == lo) return bad("stored matrix row is empty");
+    if (a.col_idx[lo] < 0) return bad("stored column index out of range");
+    for (std::size_t k = lo + 1; k < hi; ++k)
+      if (a.col_idx[k] <= a.col_idx[k - 1])
+        return bad("stored row columns are not strictly ascending");
+    if (a.col_idx[hi - 1] > row_begin + i)
+      return bad("stored matrix has an entry above the diagonal");
+    if (a.col_idx[hi - 1] != row_begin + i)
+      return bad("stored matrix row lacks its diagonal entry");
   }
   return Status::Ok();
 }
 
-Status check_level_sets(const LevelSets& ls, index_t len, const char* what) {
+/// Entries of stored row `i` (local) strictly inside the block's columns
+/// [c0, diagonal): the in-block strictly-lower dependencies.
+template <class T>
+std::pair<std::size_t, std::size_t> strict_in_block(const Csr<T>& a, index_t i,
+                                                    index_t c0) {
+  const auto* base = a.col_idx.data();
+  const auto lo = static_cast<std::size_t>(a.row_ptr[static_cast<std::size_t>(i)]);
+  const auto hi = static_cast<std::size_t>(a.row_ptr[static_cast<std::size_t>(i) + 1]);
+  const auto first = static_cast<std::size_t>(
+      std::lower_bound(base + lo, base + hi - 1, c0) - base);
+  return {first, hi - 1};  // the diagonal is last (check_stored)
+}
+
+/// A persisted level set must be a valid schedule of its block: level_item a
+/// permutation of [0, len) grouped by level_ptr, every row's level_of equal
+/// to the level of its slot, and every strictly-lower in-block entry (i, j)
+/// with level_of[j] < level_of[i] — otherwise a row could run before a row
+/// it depends on and the solve would be silently wrong. `local` is false for
+/// a shard slice's foreign blocks, whose rows the slice does not hold: only
+/// the shape is checked there (the worker never builds them).
+template <class T>
+Status check_level_sets(const LevelSets& ls, const Csr<T>& stored,
+                        index_t row_begin, index_t r0, index_t r1,
+                        bool local) {
+  const index_t len = r1 - r0;
   if (ls.nlevels < 0 ||
       ls.level_of.size() != static_cast<std::size_t>(len) ||
       ls.level_item.size() != static_cast<std::size_t>(len) ||
       ls.level_ptr.size() != static_cast<std::size_t>(ls.nlevels) + 1)
-    return bad(std::string(what) + " level analysis does not match the block");
+    return bad("tri block level analysis does not match the block");
   if (!ptr_consistent(ls.level_ptr, static_cast<std::size_t>(len)))
-    return bad(std::string(what) + " level pointers do not cover the block");
+    return bad("tri block level pointers do not cover the block");
   if (!indices_in_range(ls.level_item, len))
-    return bad(std::string(what) + " level item out of range");
+    return bad("tri block level item out of range");
   if (!indices_in_range(ls.level_of, ls.nlevels))
-    return bad(std::string(what) + " level assignment out of range");
+    return bad("tri block level assignment out of range");
+  if (!local) return Status::Ok();
+
+  std::vector<char> seen(static_cast<std::size_t>(len), 0);
+  for (index_t l = 0; l < ls.nlevels; ++l)
+    for (offset_t p = ls.level_ptr[static_cast<std::size_t>(l)];
+         p < ls.level_ptr[static_cast<std::size_t>(l) + 1]; ++p) {
+      const auto item =
+          static_cast<std::size_t>(ls.level_item[static_cast<std::size_t>(p)]);
+      if (seen[item] != 0) return bad("tri block level items repeat a row");
+      seen[item] = 1;
+      if (ls.level_of[item] != l)
+        return bad("tri block level assignment disagrees with its slot");
+    }
+  for (index_t i = r0; i < r1; ++i) {
+    const auto [first, diag] = strict_in_block(stored, i - row_begin, r0);
+    const index_t li = ls.level_of[static_cast<std::size_t>(i - r0)];
+    for (std::size_t k = first; k < diag; ++k)
+      if (ls.level_of[static_cast<std::size_t>(stored.col_idx[k] - r0)] >= li)
+        return bad("tri block level sets are not a valid schedule");
+  }
   return Status::Ok();
 }
 }  // namespace
@@ -856,9 +759,8 @@ Status validate_artifact(const PlanArtifact<T>& art) {
   if (p.tri_bounds.size() < 2 || p.tri_bounds.front() != 0 ||
       p.tri_bounds.back() != p.n)
     return bad("triangular bounds do not cover [0, n)");
-  for (std::size_t i = 1; i < p.tri_bounds.size(); ++i)
-    if (p.tri_bounds[i] < p.tri_bounds[i - 1])
-      return bad("triangular bounds are not ascending");
+  if (!std::is_sorted(p.tri_bounds.begin(), p.tri_bounds.end()))
+    return bad("triangular bounds are not ascending");
   if ((p.scheme == BlockScheme::kHbmc) != !p.color_bounds.empty())
     return bad("color bounds must be present exactly for the hbmc scheme");
   if (!p.color_bounds.empty()) {
@@ -866,20 +768,15 @@ Status validate_artifact(const PlanArtifact<T>& art) {
       return bad("hbmc aggregation block size is not positive");
     if (p.color_bounds.front() != 0 || p.color_bounds.back() != p.n)
       return bad("color bounds do not cover [0, n)");
-    for (std::size_t i = 1; i < p.color_bounds.size(); ++i)
-      if (p.color_bounds[i] < p.color_bounds[i - 1])
-        return bad("color bounds are not ascending");
+    if (!std::is_sorted(p.color_bounds.begin(), p.color_bounds.end()))
+      return bad("color bounds are not ascending");
     // Every color boundary must be a triangular leaf boundary — the wave
     // builder and the shard planner only ever cut at tri_bounds, so a color
     // bound off the leaf grid would break the per-color independence the
     // scheme's 2C-1-wave schedule relies on.
-    for (const index_t c : p.color_bounds) {
-      bool on_leaf = false;
-      for (const index_t b : p.tri_bounds)
-        if (b == c) { on_leaf = true; break; }
-      if (!on_leaf)
+    for (const index_t c : p.color_bounds)
+      if (!on_leaf_grid(p.tri_bounds, c))
         return bad("color bound does not land on a triangular leaf bound");
-    }
   }
   if (art.tri.size() != p.tri_bounds.size() - 1)
     return bad("triangular block count != plan leaves");
@@ -901,10 +798,10 @@ Status validate_artifact(const PlanArtifact<T>& art) {
     for (const ExecStep& s : wave)
       if (Status st = check_step(s); !st.ok()) return st;
 
+  index_t row_begin = 0, row_end = p.n;
   if (art.shard) {
-    // A shard slice is a restricted view: cuts must be actual recursion
-    // boundaries (never through a triangle) and the populated row range must
-    // be exactly the shard's interval of the cut.
+    // A shard slice holds the rows of its interval of the cut; cuts must be
+    // actual recursion boundaries (never through a triangle).
     if (art.shard_count < 1 || art.shard_index >= art.shard_count)
       return bad("shard index outside the shard count");
     if (art.shard_bounds.size() !=
@@ -915,182 +812,56 @@ Status validate_artifact(const PlanArtifact<T>& art) {
     for (std::size_t i = 0; i < art.shard_bounds.size(); ++i) {
       if (i > 0 && art.shard_bounds[i] <= art.shard_bounds[i - 1])
         return bad("shard bounds are not strictly ascending");
-      bool on_leaf = false;
-      for (const index_t b : p.tri_bounds)
-        if (b == art.shard_bounds[i]) { on_leaf = true; break; }
-      if (!on_leaf)
+      if (!on_leaf_grid(p.tri_bounds, art.shard_bounds[i]))
         return bad("shard cut splits a triangular leaf");
     }
-    if (art.shard_row_begin != art.shard_bounds[art.shard_index] ||
-        art.shard_row_end != art.shard_bounds[art.shard_index + 1])
+    row_begin = art.shard_row_begin;
+    row_end = art.shard_row_end;
+    if (row_begin != art.shard_bounds[art.shard_index] ||
+        row_end != art.shard_bounds[art.shard_index + 1])
       return bad("shard row range disagrees with its bounds entry");
-    if (art.verify_captured)
-      return bad("shard slices never capture the verify payloads");
   }
+  if (Status st = check_stored(art.stored, row_begin, row_end, p.n); !st.ok())
+    return st;
+  if (!art.shard && art.stored.nnz() != art.nnz)
+    return bad("stored matrix nnz disagrees with the header");
 
   for (std::size_t t = 0; t < art.tri.size(); ++t) {
-    const TriBlockArtifact<T>& b = art.tri[t];
-    const index_t len = b.r1 - b.r0;
-    if (b.r0 != p.tri_bounds[t] || b.r1 != p.tri_bounds[t + 1] || len < 0)
-      return bad("triangular block range disagrees with the plan");
-    const bool local_tri =
-        !art.shard ||
-        (b.r0 >= art.shard_row_begin && b.r1 <= art.shard_row_end);
-    if (b.populated != local_tri)
-      return bad(art.shard
-                     ? "shard tri population disagrees with the row range"
-                     : "unpopulated tri block outside a shard slice");
-    if (!b.populated) {
-      // Foreign leaf: metadata only, never executed by this shard's worker.
-      if (b.has_csr || !b.csr.val.empty() || !b.diag.empty() ||
-          !b.kernel_csr.val.empty() || !b.levels.level_item.empty() ||
-          !b.kernel_first_level.empty() || !b.csc.val.empty() ||
-          !b.strict_rows.val.empty() || !b.in_degree.empty())
-        return bad("foreign shard tri block carries payloads");
-      if (static_cast<std::uint32_t>(b.kind) >
-          static_cast<std::uint32_t>(TriKernelKind::kCusparseLike))
-        return bad("unknown triangular kernel kind");
-      continue;
-    }
-    if (b.has_csr != art.verify_captured)
-      return bad("per-block CSR retention disagrees with verify flag");
-    if (b.has_csr) {
-      // The fallback ladder feeds this CSR straight into the level-set and
-      // serial solvers, so it must be a well-formed lower triangle itself.
-      if (Status st = check_csr_shape(b.csr, len, len, "tri block");
-          !st.ok())
-        return st;
-      if (Status st = check_tri_csr(b.csr, "tri block"); !st.ok()) return st;
-    }
+    const TriBlockArtifact& b = art.tri[t];
+    const index_t r0 = p.tri_bounds[t], r1 = p.tri_bounds[t + 1];
+    const bool local = r0 >= row_begin && r1 <= row_end;
     switch (b.kind) {
       case TriKernelKind::kCompletelyParallel:
-        if (b.diag.size() != static_cast<std::size_t>(len))
-          return bad("diagonal block length != rows");
+        // The diagonal kernel ignores off-diagonal entries, so the block
+        // must really have none.
+        for (index_t i = r0; local && i < r1; ++i) {
+          const auto [first, diag] = strict_in_block(art.stored, i - row_begin, r0);
+          if (first != diag)
+            return bad("completely-parallel block is not diagonal");
+        }
         break;
       case TriKernelKind::kLevelSet:
-      case TriKernelKind::kCusparseLike: {
-        if (Status st = check_csr_shape(b.kernel_csr, len, len, "tri block");
+      case TriKernelKind::kCusparseLike:
+        if (Status st = check_level_sets(b.levels, art.stored, row_begin, r0,
+                                         r1, local);
             !st.ok())
           return st;
-        if (Status st = check_tri_csr(b.kernel_csr, "tri block"); !st.ok())
-          return st;
-        if (Status st = check_level_sets(b.levels, len, "tri block");
-            !st.ok())
-          return st;
-        if (b.kind == TriKernelKind::kCusparseLike) {
-          if (b.levels.nlevels > 0 && b.kernel_first_level.empty())
-            return bad("cusparse-like block has no merged schedule");
-          if (!indices_in_range(b.kernel_first_level, b.levels.nlevels))
-            return bad("cusparse-like merged schedule level out of range");
-        }
         break;
-      }
-      case TriKernelKind::kSyncFree: {
-        if (b.csc.nrows != len || b.csc.ncols != len ||
-            b.csc.col_ptr.size() != static_cast<std::size_t>(len) + 1 ||
-            b.csc.row_idx.size() != b.csc.val.size())
-          return bad("sync-free CSC does not match the block");
-        if (!ptr_consistent(b.csc.col_ptr, b.csc.val.size()))
-          return bad("sync-free CSC pointers are inconsistent");
-        if (!indices_in_range(b.csc.row_idx, len))
-          return bad("sync-free CSC row index out of range");
-        // The kernel divides by the first entry of each column (the
-        // diagonal) and expects everything below it strictly lower — also
-        // what makes the busy-wait scheme deadlock-free (dependencies only
-        // point at earlier components).
-        for (index_t j = 0; j < len; ++j) {
-          const offset_t lo = b.csc.col_ptr[static_cast<std::size_t>(j)];
-          const offset_t hi = b.csc.col_ptr[static_cast<std::size_t>(j) + 1];
-          if (hi <= lo || b.csc.row_idx[static_cast<std::size_t>(lo)] != j)
-            return bad("sync-free CSC column lacks a leading diagonal entry");
-          for (offset_t k = lo + 1; k < hi; ++k)
-            if (b.csc.row_idx[static_cast<std::size_t>(k)] <= j)
-              return bad("sync-free CSC column is not strictly lower");
-        }
-        if (Status st = check_csr_shape(b.strict_rows, len, len,
-                                        "strict rows");
-            !st.ok())
-          return st;
-        if (b.in_degree.size() != static_cast<std::size_t>(len))
-          return bad("in-degree length != rows");
-        for (index_t i = 0; i < len; ++i) {
-          for (offset_t k =
-                   b.strict_rows.row_ptr[static_cast<std::size_t>(i)];
-               k < b.strict_rows.row_ptr[static_cast<std::size_t>(i) + 1];
-               ++k)
-            if (b.strict_rows.col_idx[static_cast<std::size_t>(k)] >= i)
-              return bad("strict rows are not strictly lower");
-          if (b.in_degree[static_cast<std::size_t>(i)] !=
-              static_cast<index_t>(b.strict_rows.row_nnz(i)))
-            return bad("in-degree disagrees with the strict rows");
-        }
+      case TriKernelKind::kSyncFree:
         break;
-      }
       default:
         return bad("unknown triangular kernel kind");
     }
   }
 
   for (std::size_t q = 0; q < art.squares.size(); ++q) {
-    const SquareBlockArtifact<T>& b = art.squares[q];
     const SquareBlockRef& ref = p.squares[q];
     if (ref.r0 < 0 || ref.r0 > ref.r1 || ref.r1 > p.n || ref.c0 < 0 ||
         ref.c0 > ref.c1 || ref.c1 > p.n)
       return bad("square block range is outside the matrix");
-    if (static_cast<std::uint32_t>(b.kind) >
+    if (static_cast<std::uint32_t>(art.squares[q].kind) >
         static_cast<std::uint32_t>(SpmvKernelKind::kVectorDcsr))
       return bad("unknown square kernel kind");
-    if (b.populated && art.shard) {
-      // A shard's slice of a boundary square keeps the plan's columns but may
-      // narrow the rows to the shard's interval — SpMV rows are independent,
-      // so the slice computes the identical values for the rows it keeps.
-      if (b.ref.c0 != ref.c0 || b.ref.c1 != ref.c1 || b.ref.r0 < ref.r0 ||
-          b.ref.r1 > ref.r1 || b.ref.r0 > b.ref.r1)
-        return bad("shard square slice is not a row sub-range of the plan");
-      if (b.ref.r0 < art.shard_row_begin || b.ref.r1 > art.shard_row_end)
-        return bad("shard square slice leaves the shard's rows");
-    } else if (b.ref.r0 != ref.r0 || b.ref.r1 != ref.r1 ||
-               b.ref.c0 != ref.c0 || b.ref.c1 != ref.c1) {
-      return bad("square block range disagrees with the plan");
-    }
-    if (!b.populated) {
-      if (!art.shard)
-        return bad("unpopulated square block outside a shard slice");
-      if (b.nnz != 0 || !b.csr.val.empty() || !b.dcsr.val.empty())
-        return bad("foreign shard square block carries payloads");
-      continue;
-    }
-    const index_t rows = b.ref.r1 - b.ref.r0;
-    const index_t cols = b.ref.c1 - b.ref.c0;
-    const bool dcsr = b.kind == SpmvKernelKind::kScalarDcsr ||
-                      b.kind == SpmvKernelKind::kVectorDcsr;
-    if (dcsr && b.nnz != 0) {
-      if (b.dcsr.nrows != rows || b.dcsr.ncols != cols ||
-          b.dcsr.row_ptr.size() != b.dcsr.row_ids.size() + 1 ||
-          b.dcsr.col_idx.size() != b.dcsr.val.size() ||
-          static_cast<offset_t>(b.dcsr.val.size()) != b.nnz)
-        return bad("square DCSR does not match the block");
-      if (!ptr_consistent(b.dcsr.row_ptr, b.dcsr.val.size()))
-        return bad("square DCSR pointers are inconsistent");
-      if (!indices_in_range(b.dcsr.row_ids, rows))
-        return bad("square DCSR row id out of range");
-      if (!indices_in_range(b.dcsr.col_idx, cols))
-        return bad("square DCSR column index out of range");
-    } else {
-      if (Status st = check_csr_shape(b.csr, rows, cols, "square block");
-          !st.ok())
-        return st;
-      if (static_cast<offset_t>(b.csr.val.size()) != b.nnz)
-        return bad("square CSR nnz disagrees with metadata");
-    }
-  }
-
-  if (art.verify_captured) {
-    if (Status st = check_csr_shape(art.stored, p.n, p.n, "stored matrix");
-        !st.ok())
-      return st;
-    if (Status st = check_tri_csr(art.stored, "stored matrix"); !st.ok())
-      return st;
   }
 
   if (art.merge_width < 1) return bad("non-positive level-merge width");

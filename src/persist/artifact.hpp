@@ -1,19 +1,22 @@
-// Plan persistence — serialized BlockSolver preprocessing (ISSUE 4).
+// Plan persistence — serialized BlockSolver preprocessing.
 //
 // Table 5 of the paper prices recursive-block preprocessing at many
 // single-solve equivalents; in a service that solves the same sparsity
 // pattern millions of times (a factorization reused across timesteps or
 // requests), that analysis must be paid once, not per BlockSolver. A
-// PlanArtifact captures *everything* BlockSolver::create computes —
-// permutation, recursive BlockPlan (triangles, squares, step order, waves),
-// per-block kernel selections, and the built CSC/CSR/DCSR block arrays — as
-// plain data that can be
+// PlanArtifact holds what preprocessing *decided* — permutation, recursive
+// BlockPlan (triangles, squares, step order, waves, colours), each block's
+// kernel kind, the triangles' level sets, the level-merge width and the
+// tuning and shard records — plus one copy of the permuted matrix. Every
+// kernel structure (CSR/CSC/DCSR block arrays, diagonals, in-degrees, merged
+// schedules) is derived from that matrix on load, never stored. The
+// artifact can be
 //
 //   * saved to / loaded from a versioned binary file (save_artifact /
 //     load_artifact below, format described in DESIGN.md §10),
 //   * shared immutably between concurrent solvers through a PlanCache
 //     (persist/plan_cache.hpp),
-//   * rehydrated into a BlockSolver with zero re-analysis
+//   * rehydrated into a BlockSolver with zero level analysis
 //     (BlockSolver::create_from_artifact), bitwise-identical to the cold
 //     build it was captured from.
 //
@@ -37,64 +40,26 @@
 
 namespace blocktri {
 
-/// Newest on-disk format version this build writes and reads. Version 2
-/// added the optional tuning section, version 3 the optional shard section
-/// (per-shard slices for the multi-process worker pool, src/shard), and
-/// version 4 the optional color section (HBMC color boundaries, DESIGN.md
-/// §16). Plain untuned artifacts are still written as version 1 —
-/// byte-identical to pre-tuner builds — tuned ones as version 2, shard
-/// slices as version 3, and only HBMC plans need version 4, so every file
-/// stays readable by the oldest build that could have produced it. Versions
-/// outside [1, 4] are rejected with kVersionMismatch.
-inline constexpr std::uint32_t kArtifactFormatVersion = 4;
+/// The one on-disk format version this build reads and writes. Version 5
+/// is the first that stores decisions plus one permuted matrix; versions 1-4
+/// persisted every derived kernel structure and are no longer read (they
+/// fail with kVersionMismatch — recapture the plan from the matrix).
+inline constexpr std::uint32_t kArtifactFormatVersion = 5;
 
-/// Everything preprocessing derived for one triangular leaf block. Only the
-/// fields of the selected kernel kind are populated (the rest stay empty),
-/// mirroring what the live solver holds.
-template <class T>
+/// What preprocessing decided for one triangular leaf (rows
+/// plan.tri_bounds[t] .. plan.tri_bounds[t + 1]). `levels` is kept for the
+/// level-scheduled kinds (kLevelSet, kCusparseLike) so rehydration runs no
+/// level analysis; it is empty for the other kinds.
 struct TriBlockArtifact {
-  index_t r0 = 0, r1 = 0;
   TriKernelKind kind = TriKernelKind::kSyncFree;
   index_t nlevels = 0;
-  offset_t nnz = 0;
-
-  /// Shard slices (format v3) keep every leaf's metadata but only the
-  /// payloads of the leaves the shard owns; a foreign leaf is `!populated`
-  /// (empty payloads, never executed by that worker). Always true outside
-  /// shard artifacts.
-  bool populated = true;
-
-  /// The block's CSR, retained iff the artifact was captured with
-  /// verify.enabled — the fallback-ladder / refinement reference.
-  bool has_csr = false;
-  Csr<T> csr;
-
-  std::vector<T> diag;                      // kCompletelyParallel
-  Csr<T> kernel_csr;                        // kLevelSet / kCusparseLike
-  LevelSets levels;                         // kLevelSet / kCusparseLike
-  std::vector<index_t> kernel_first_level;  // kCusparseLike
-  Csc<T> csc;                               // kSyncFree
-  Csr<T> strict_rows;                       // kSyncFree
-  std::vector<index_t> in_degree;           // kSyncFree
+  LevelSets levels;
 };
 
-/// One square (SpMV) block: kernel selection plus the built storage (CSR for
-/// the CSR kernel kinds, DCSR for the DCSR kinds).
-template <class T>
+/// What preprocessing decided for one square (SpMV) block plan.squares[q].
 struct SquareBlockArtifact {
-  /// In a shard slice (format v3) this may be a *row sub-range* of the
-  /// plan's square: a boundary square crossing a shard cut is row-sliced per
-  /// shard (columns untouched — SpMV updates are row-independent, so the
-  /// per-row arithmetic and therefore the bitwise result are unchanged).
-  SquareBlockRef ref{};
   SpmvKernelKind kind = SpmvKernelKind::kScalarCsr;
-  offset_t nnz = 0;
   double empty_ratio = 0.0;
-  /// False in shard slices for squares the shard does not execute (foreign
-  /// rows, or an empty row slice); payloads empty. Always true otherwise.
-  bool populated = true;
-  Csr<T> csr;
-  Dcsr<T> dcsr;
 };
 
 /// The complete, immutable result of BlockSolver preprocessing.
@@ -110,22 +75,20 @@ struct PlanArtifact {
 
   BlockPlan plan;
   std::vector<std::vector<ExecStep>> waves;  // compute_step_waves output
-  offset_t nnz = 0;
+  offset_t nnz = 0;  // of the whole matrix, also in shard slices
 
-  bool verify_captured = false;  // stored + per-block CSRs retained
-  Csr<T> stored;                 // permuted matrix (verify_captured only)
-  double norm_inf = 0.0;         // ‖L‖∞ of stored (verify_captured only)
+  /// The permuted matrix, the only numeric payload. A whole artifact holds
+  /// all n rows; a shard slice holds rows [shard_row_begin, shard_row_end)
+  /// (row 0 of `stored` is permuted row shard_row_begin, columns global).
+  Csr<T> stored;
 
   std::int64_t build_ops = 0;  // preprocessing cost counters (Table 5)
   std::int64_t build_bytes = 0;
 
-  /// Autotuning record (format version 2, optional section — absent in
-  /// version-1 files, which load with these defaults). The tuned kernel
-  /// *choices* live in the regular tri/square sections like any others; this
-  /// section carries what cannot be reconstructed from them: that the plan
-  /// came from the tuner (so rehydration must not expect the heuristic
-  /// plan), the level-merge width the level-set blocks were built with, and
-  /// the search's oracle verdict for diagnostics.
+  /// Autotuning record (optional section, written for tuned plans only;
+  /// absent means these defaults). It carries what the per-block kinds
+  /// cannot: that the plan came from the tuner, the level-merge width the
+  /// level-set blocks are built with, and the search's oracle verdict.
   bool tuned = false;
   offset_t merge_width = kLevelMergeMaxWidth;
   bool tune_fell_back = false;
@@ -133,13 +96,12 @@ struct PlanArtifact {
   double oracle_default_ns = 0.0;    // exact-sim time of the default plan
   double oracle_tuned_ns = 0.0;      // exact-sim time of the captured plan
 
-  /// Shard-slice record (format version 3, optional section — absent in
-  /// v1/v2 files, which load with these defaults). A shard slice keeps the
-  /// *global* plan (steps, waves, permutation) so a worker can derive its
-  /// local schedule and halo dependencies, but populates only the blocks in
-  /// [shard_row_begin, shard_row_end) — the executors of shard workers never
-  /// touch a foreign block. shard_bounds holds all shard_count + 1 cut rows
-  /// (values of plan.tri_bounds), identical across the slices of one cut.
+  /// Shard-slice record (optional section, shard slices only). A slice
+  /// keeps the *global* plan, waves and decisions so a worker can derive
+  /// its local schedule and halo dependencies; only `stored` is cut down to
+  /// the shard's rows, and which blocks the worker builds follows from that
+  /// row range. shard_bounds holds all shard_count + 1 cut rows (values of
+  /// plan.tri_bounds), identical across the slices of one cut.
   bool shard = false;
   std::uint32_t shard_index = 0;
   std::uint32_t shard_count = 0;
@@ -147,14 +109,11 @@ struct PlanArtifact {
   index_t shard_row_end = 0;
   std::vector<index_t> shard_bounds;
 
-  // HBMC color record (format version 4, optional section — absent in
-  // v1–v3 files). The payload itself lives inside the BlockPlan
-  // (plan.color_bounds / plan.hbmc_block_rows); a separate CRC'd section
-  // carries it so the kSectionPlan encoding — and with it every non-HBMC
-  // artifact — stays byte-identical to the older format versions.
+  // The HBMC color record (plan.color_bounds / plan.hbmc_block_rows) rides
+  // inside the BlockPlan and gets an optional CRC'd section of its own.
 
-  std::vector<TriBlockArtifact<T>> tri;
-  std::vector<SquareBlockArtifact<T>> squares;
+  std::vector<TriBlockArtifact> tri;          // one per plan triangle
+  std::vector<SquareBlockArtifact> squares;   // one per plan square
 };
 
 /// Heap footprint of an artifact (all vector payloads + bookkeeping) — the
@@ -190,19 +149,21 @@ int pending_io_failures();
 template <class T>
 Status load_artifact(const std::string& path, PlanArtifact<T>* out);
 
-/// Deep semantic check of a deserialized (or hand-built) artifact. The
-/// executors index with artifact contents unchecked — permute_vector writes
-/// out[new_of_old[i]], the DCSR spmv writes y[row_ids[r]], kernels read
-/// x[col_idx[k]], the sync-free busy-wait counts down in_degree — so beyond
-/// consistent plan bounds and array sizes this proves every stored index
-/// in-bounds and every kernel precondition (pointer arrays monotone and
-/// covering, new_of_old a permutation of [0, n), triangular CSRs non-empty
-/// rows with a trailing diagonal, sync-free columns diagonal-first and
-/// strictly lower with in_degree matching the strict rows, enum values in
-/// range). Returns kBadFormat describing the first violation. load_artifact
-/// runs this before handing the artifact out, so a CRC-valid but crafted or
-/// semantically corrupt file is rejected here rather than corrupting memory
-/// at solve time.
+/// Deep semantic check of a deserialized (or hand-built) artifact, O(nnz +
+/// n). Rehydration derives every kernel structure from `stored` and the
+/// executors index with plan contents unchecked (permute_vector writes
+/// out[new_of_old[i]], kernels read x[col_idx[k]]), so this proves: plan
+/// bounds, squares, steps, waves and colours consistent; new_of_old a
+/// permutation of [0, n); `stored` a well-formed lower triangle of its rows
+/// (sorted in-range columns, trailing non-zero diagonal, nothing above it);
+/// every kind in range; a completely-parallel block really diagonal; and
+/// every persisted level set a valid schedule of its block (level_item a
+/// permutation, level_of matching each row's slot, every strictly-lower
+/// in-block entry (i, j) with level_of[j] < level_of[i]). A shard slice's
+/// stored rows must be exactly its range of the cut. Returns kBadFormat
+/// describing the first violation. load_artifact runs this before handing
+/// the artifact out, so a CRC-valid but crafted file is rejected here rather
+/// than corrupting memory or the schedule at solve time.
 template <class T>
 Status validate_artifact(const PlanArtifact<T>& art);
 

@@ -1,7 +1,7 @@
 // Sharded multi-process solve coordinator (DESIGN.md §15).
 //
 // ShardCoordinator::create cuts a BlockSolver's plan into P contiguous row
-// shards (compute_shard_cuts), writes one format-v3 .btpa slice per shard,
+// shards (compute_shard_cuts), writes one .btpa slice per shard,
 // maps a shared-memory panel region, and forks P worker processes that
 // rehydrate their slices with zero re-analysis. Each solve is an *epoch*:
 // the coordinator scatters the permuted right-hand sides into the shared b

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/status.hpp"
+#include "sparse/triangular.hpp"
 
 namespace blocktri::shard {
 
@@ -12,7 +13,8 @@ std::vector<index_t> compute_shard_cuts(const PlanArtifact<T>& art,
   const BlockPlan& p = art.plan;
   const auto nleaves = static_cast<std::size_t>(p.num_tri_blocks());
   BLOCKTRI_CHECK_MSG(nshards >= 1, "shard count must be positive");
-  BLOCKTRI_CHECK(art.tri.size() == nleaves);
+  BLOCKTRI_CHECK_MSG(!art.shard && art.stored.nrows == p.n,
+                     "shard cuts need a whole artifact, not a slice");
 
   // Per-leaf work weight: the triangle's nnz plus each overlapping square's
   // nnz apportioned by row share. Square row ranges are unions of leaves in
@@ -21,14 +23,17 @@ std::vector<index_t> compute_shard_cuts(const PlanArtifact<T>& art,
   // advance the prefix — a cut between two all-zero leaves stays strict.
   std::vector<double> weight(nleaves, 1.0);
   for (std::size_t t = 0; t < nleaves; ++t)
-    weight[t] += static_cast<double>(art.tri[t].nnz);
-  for (const SquareBlockArtifact<T>& q : art.squares) {
-    const index_t rows = q.ref.r1 - q.ref.r0;
-    if (rows <= 0 || q.nnz == 0) continue;
-    const double per_row = static_cast<double>(q.nnz) / rows;
+    weight[t] += static_cast<double>(
+        count_block_nnz(art.stored, p.tri_bounds[t], p.tri_bounds[t + 1],
+                        p.tri_bounds[t], p.tri_bounds[t + 1]));
+  for (const SquareBlockRef& q : p.squares) {
+    const index_t rows = q.r1 - q.r0;
+    const offset_t nnz = count_block_nnz(art.stored, q.r0, q.r1, q.c0, q.c1);
+    if (rows <= 0 || nnz == 0) continue;
+    const double per_row = static_cast<double>(nnz) / rows;
     for (std::size_t t = 0; t < nleaves; ++t) {
-      const index_t lo = std::max(p.tri_bounds[t], q.ref.r0);
-      const index_t hi = std::min(p.tri_bounds[t + 1], q.ref.r1);
+      const index_t lo = std::max(p.tri_bounds[t], q.r0);
+      const index_t hi = std::min(p.tri_bounds[t + 1], q.r1);
       if (hi > lo) weight[t] += per_row * static_cast<double>(hi - lo);
     }
   }
@@ -61,55 +66,6 @@ std::vector<index_t> compute_shard_cuts(const PlanArtifact<T>& art,
   return bounds;
 }
 
-namespace {
-
-/// Row slice [a, b) of a block-local CSR (rows re-based so the slice's row 0
-/// is `a`). Columns untouched: each kept row's entries are byte-identical.
-template <class T>
-Csr<T> slice_csr_rows(const Csr<T>& csr, index_t a, index_t b) {
-  Csr<T> out;
-  out.nrows = b - a;
-  out.ncols = csr.ncols;
-  const offset_t lo = csr.row_ptr[static_cast<std::size_t>(a)];
-  const offset_t hi = csr.row_ptr[static_cast<std::size_t>(b)];
-  out.row_ptr.resize(static_cast<std::size_t>(b - a) + 1);
-  for (index_t r = a; r <= b; ++r)
-    out.row_ptr[static_cast<std::size_t>(r - a)] =
-        csr.row_ptr[static_cast<std::size_t>(r)] - lo;
-  out.col_idx.assign(csr.col_idx.begin() + lo, csr.col_idx.begin() + hi);
-  out.val.assign(csr.val.begin() + lo, csr.val.begin() + hi);
-  return out;
-}
-
-/// Row slice [a, b) of a block-local DCSR: the kept rows are the contiguous
-/// row_ids segment in [a, b), re-based like the CSR slice.
-template <class T>
-Dcsr<T> slice_dcsr_rows(const Dcsr<T>& dcsr, index_t a, index_t b) {
-  Dcsr<T> out;
-  out.nrows = b - a;
-  out.ncols = dcsr.ncols;
-  const auto first = std::lower_bound(dcsr.row_ids.begin(),
-                                      dcsr.row_ids.end(), a) -
-                     dcsr.row_ids.begin();
-  const auto last = std::lower_bound(dcsr.row_ids.begin(),
-                                     dcsr.row_ids.end(), b) -
-                    dcsr.row_ids.begin();
-  const offset_t lo = dcsr.row_ptr[static_cast<std::size_t>(first)];
-  const offset_t hi = dcsr.row_ptr[static_cast<std::size_t>(last)];
-  out.row_ids.reserve(static_cast<std::size_t>(last - first));
-  for (auto i = first; i < last; ++i)
-    out.row_ids.push_back(dcsr.row_ids[static_cast<std::size_t>(i)] - a);
-  out.row_ptr.resize(static_cast<std::size_t>(last - first) + 1);
-  for (auto i = first; i <= last; ++i)
-    out.row_ptr[static_cast<std::size_t>(i - first)] =
-        dcsr.row_ptr[static_cast<std::size_t>(i)] - lo;
-  out.col_idx.assign(dcsr.col_idx.begin() + lo, dcsr.col_idx.begin() + hi);
-  out.val.assign(dcsr.val.begin() + lo, dcsr.val.begin() + hi);
-  return out;
-}
-
-}  // namespace
-
 template <class T>
 PlanArtifact<T> slice_shard_artifact(const PlanArtifact<T>& full,
                                      const std::vector<index_t>& bounds,
@@ -120,15 +76,15 @@ PlanArtifact<T> slice_shard_artifact(const PlanArtifact<T>& full,
   const index_t row_begin = bounds[static_cast<std::size_t>(shard_index)];
   const index_t row_end = bounds[static_cast<std::size_t>(shard_index) + 1];
 
+  // Everything but the matrix is shared: copy the decisions, then cut the
+  // stored rows down to the shard's interval.
   PlanArtifact<T> out;
   out.structure = full.structure;
   out.options = worker_options;
   out.plan = full.plan;
   out.waves = full.waves;
   out.nnz = full.nnz;
-  // Workers never run the checked path: verify payloads are dead weight in a
-  // slice, and validate_artifact rejects a shard slice that carries them.
-  out.verify_captured = false;
+  out.stored = extract_block(full.stored, row_begin, row_end, 0, full.plan.n);
   out.build_ops = full.build_ops;
   out.build_bytes = full.build_bytes;
   out.tuned = full.tuned;
@@ -137,6 +93,8 @@ PlanArtifact<T> slice_shard_artifact(const PlanArtifact<T>& full,
   out.tune_device = full.tune_device;
   out.oracle_default_ns = full.oracle_default_ns;
   out.oracle_tuned_ns = full.oracle_tuned_ns;
+  out.tri = full.tri;
+  out.squares = full.squares;
 
   out.shard = true;
   out.shard_index = static_cast<std::uint32_t>(shard_index);
@@ -144,65 +102,6 @@ PlanArtifact<T> slice_shard_artifact(const PlanArtifact<T>& full,
   out.shard_row_begin = row_begin;
   out.shard_row_end = row_end;
   out.shard_bounds = bounds;
-
-  out.tri.reserve(full.tri.size());
-  for (const TriBlockArtifact<T>& t : full.tri) {
-    if (t.r0 >= row_begin && t.r1 <= row_end) {
-      TriBlockArtifact<T> local = t;
-      local.populated = true;
-      local.has_csr = false;  // verify payload, stripped with the rest
-      local.csr = Csr<T>{};
-      out.tri.push_back(std::move(local));
-    } else {
-      TriBlockArtifact<T> foreign;
-      foreign.r0 = t.r0;
-      foreign.r1 = t.r1;
-      foreign.kind = t.kind;
-      foreign.nlevels = t.nlevels;
-      foreign.nnz = t.nnz;
-      foreign.populated = false;
-      out.tri.push_back(std::move(foreign));
-    }
-  }
-
-  out.squares.reserve(full.squares.size());
-  for (const SquareBlockArtifact<T>& q : full.squares) {
-    SquareBlockArtifact<T> s;
-    s.ref = q.ref;
-    s.kind = q.kind;
-    s.empty_ratio = q.empty_ratio;
-    const index_t a = std::max(q.ref.r0, row_begin);
-    const index_t b = std::min(q.ref.r1, row_end);
-    const bool dcsr = q.kind == SpmvKernelKind::kScalarDcsr ||
-                      q.kind == SpmvKernelKind::kVectorDcsr;
-    if (b > a && q.nnz != 0) {
-      if (a == q.ref.r0 && b == q.ref.r1) {
-        // Fully owned: keep the payload verbatim (bitwise the cheap way).
-        s.csr = q.csr;
-        s.dcsr = q.dcsr;
-        s.nnz = q.nnz;
-      } else if (dcsr) {
-        s.dcsr = slice_dcsr_rows(q.dcsr, a - q.ref.r0, b - q.ref.r0);
-        s.nnz = s.dcsr.nnz();
-      } else {
-        s.csr = slice_csr_rows(q.csr, a - q.ref.r0, b - q.ref.r0);
-        s.nnz = s.csr.nnz();
-      }
-      if (s.nnz != 0) {
-        s.populated = true;
-        s.ref = SquareBlockRef{a, b, q.ref.c0, q.ref.c1};
-      }
-    }
-    if (s.nnz == 0) {
-      // No rows (or no nonzeros) in this shard: metadata-only, the plan's
-      // original ref, never executed.
-      s.populated = false;
-      s.ref = q.ref;
-      s.csr = Csr<T>{};
-      s.dcsr = Dcsr<T>{};
-    }
-    out.squares.push_back(std::move(s));
-  }
   return out;
 }
 
@@ -222,32 +121,40 @@ std::vector<std::vector<LocalStep>> build_local_schedule(
   };
 
   std::vector<std::vector<LocalStep>> sched;
+  // The shard owns the triangles inside its rows and every square with
+  // nonzeros in them — the blocks BlockSolver builds from the slice.
+  const index_t row_begin = slice.shard_row_begin;
+  const index_t row_end = slice.shard_row_end;
+  const BlockPlan& p = slice.plan;
   for (const std::vector<ExecStep>& wave : slice.waves) {
     std::vector<LocalStep> local;
     for (const ExecStep& step : wave) {
+      const auto idx = static_cast<std::size_t>(step.index);
       if (step.kind == ExecStep::Kind::kTri) {
-        const TriBlockArtifact<T>& t =
-            slice.tri[static_cast<std::size_t>(step.index)];
-        if (!t.populated) continue;
+        if (p.tri_bounds[idx] < row_begin || p.tri_bounds[idx + 1] > row_end)
+          continue;
         LocalStep ls;
         ls.step = step;
-        ls.publish = t.r1;
+        ls.publish = p.tri_bounds[idx + 1];
         local.push_back(std::move(ls));
       } else {
-        const SquareBlockArtifact<T>& q =
-            slice.squares[static_cast<std::size_t>(step.index)];
-        if (!q.populated) continue;
+        const SquareBlockRef& q = p.squares[idx];
+        const index_t a = std::max(q.r0, row_begin);
+        const index_t b = std::min(q.r1, row_end);
+        if (b <= a || count_block_nnz(slice.stored, a - row_begin,
+                                      b - row_begin, q.c0, q.c1) == 0)
+          continue;
         LocalStep ls;
         ls.step = step;
         // The slice reads x[c0, c1): each upstream shard overlapping that
         // column range must have published up to its end of the overlap.
         // The own-shard portion needs no wait — local steps run in plan
         // order, so the local watermark already covers it.
-        index_t c = q.ref.c0;
-        while (c < q.ref.c1) {
+        index_t c = q.c0;
+        while (c < q.c1) {
           const int up = owner_of(c);
           const index_t up_end = bounds[static_cast<std::size_t>(up) + 1];
-          const index_t need = std::min(q.ref.c1, up_end);
+          const index_t need = std::min(q.c1, up_end);
           if (up != self) ls.waits.push_back({up, need});
           c = need;
         }

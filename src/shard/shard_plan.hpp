@@ -13,7 +13,7 @@
 // stages are
 //
 //   compute_shard_cuts    nnz-balanced cut rows, snapped to tri_bounds
-//   slice_shard_artifact  one worker's PlanArtifact (format v3 shard slice)
+//   slice_shard_artifact  one worker's PlanArtifact (shared decisions + rows)
 //   build_local_schedule  the worker's wave-structured step subsequence with
 //                         halo watermarks (what to wait for, what to publish)
 #pragma once
@@ -37,19 +37,15 @@ template <class T>
 std::vector<index_t> compute_shard_cuts(const PlanArtifact<T>& art,
                                         int nshards);
 
-/// Extracts shard `shard_index`'s slice of a captured artifact:
-///   * the *global* plan, waves and permutation are retained verbatim (the
-///     worker derives its local schedule and halo dependencies from them),
-///   * triangular leaves inside [bounds[i], bounds[i+1]) keep their kernel
-///     payloads; foreign leaves become metadata-only (!populated),
-///   * squares are row-sliced to the shard's interval (CSR rows re-based,
-///     DCSR row_ids segment re-based); slices with no remaining nonzeros
-///     become !populated with the plan's original ref,
-///   * verify payloads are stripped (shard workers never run the checked
-///     path) and `options` is restamped with `worker_options` — the
-///     fingerprint of the Options the worker will rehydrate under.
-/// The result passes validate_artifact and round-trips through
-/// save_artifact/load_artifact as a format-v3 file.
+/// Extracts shard `shard_index`'s slice of a captured artifact: the *global*
+/// plan, waves, permutation and per-block decisions verbatim (the worker
+/// derives its local schedule and halo dependencies from them), plus rows
+/// [bounds[i], bounds[i+1]) of the permuted matrix. Which blocks the worker
+/// builds follows from that row range: the triangles inside it and the row
+/// slices of the squares crossing it. `options` is restamped with
+/// `worker_options` — the fingerprint of the Options the worker will
+/// rehydrate under. The result passes validate_artifact and round-trips
+/// through save_artifact/load_artifact.
 template <class T>
 PlanArtifact<T> slice_shard_artifact(const PlanArtifact<T>& full,
                                      const std::vector<index_t>& bounds,

@@ -27,11 +27,26 @@ CusparseLikeSolver<T>::CusparseLikeSolver(Csr<T> lower,
     : a_(std::move(lower)) {
   BLOCKTRI_CHECK_MSG(is_lower_triangular_nonsingular(a_),
                      "CusparseLikeSolver requires a nonsingular lower triangle");
-  BLOCKTRI_CHECK(merge_component_budget > 0);
   ls_ = compute_level_sets(a_);
+  merge_levels(merge_component_budget);
+}
 
-  // Pack consecutive levels into kernels until the component budget fills —
-  // Naumov's small-level merging. Wide levels get kernels of their own.
+template <class T>
+CusparseLikeSolver<T>::CusparseLikeSolver(Csr<T> lower, LevelSets levels,
+                                          index_t merge_component_budget)
+    : a_(std::move(lower)), ls_(std::move(levels)) {
+  BLOCKTRI_CHECK_MSG(
+      ls_.level_of.size() == static_cast<std::size_t>(a_.nrows) &&
+          ls_.level_item.size() == static_cast<std::size_t>(a_.nrows) &&
+          ls_.level_ptr.size() == static_cast<std::size_t>(ls_.nlevels) + 1,
+      "CusparseLikeSolver: adopted level analysis does not match the matrix");
+  merge_levels(merge_component_budget);
+}
+
+template <class T>
+void CusparseLikeSolver<T>::merge_levels(index_t merge_component_budget) {
+  BLOCKTRI_CHECK(merge_component_budget > 0);
+  // Naumov's small-level merging: wide levels get kernels of their own.
   index_t in_kernel = 0;
   for (index_t lvl = 0; lvl < ls_.nlevels; ++lvl) {
     const index_t w = ls_.level_width(lvl);
@@ -41,20 +56,6 @@ CusparseLikeSolver<T>::CusparseLikeSolver(Csr<T> lower,
     }
     in_kernel += w;
   }
-}
-
-template <class T>
-CusparseLikeSolver<T>::CusparseLikeSolver(
-    Csr<T> lower, LevelSets levels, std::vector<index_t> kernel_first_level)
-    : a_(std::move(lower)),
-      ls_(std::move(levels)),
-      kernel_first_level_(std::move(kernel_first_level)) {
-  BLOCKTRI_CHECK_MSG(
-      ls_.level_of.size() == static_cast<std::size_t>(a_.nrows) &&
-          ls_.level_item.size() == static_cast<std::size_t>(a_.nrows) &&
-          ls_.level_ptr.size() == static_cast<std::size_t>(ls_.nlevels) + 1 &&
-          (ls_.nlevels == 0 || !kernel_first_level_.empty()),
-      "CusparseLikeSolver: adopted schedule does not match the matrix");
 }
 
 template <class T>

@@ -31,11 +31,11 @@ class CusparseLikeSolver {
   explicit CusparseLikeSolver(Csr<T> lower,
                               index_t merge_component_budget = 2304);
 
-  /// Rehydration constructor for the plan-persistence subsystem: adopts a
-  /// previously computed level analysis and merged-kernel schedule instead
-  /// of re-deriving them.
+  /// Adopts a previously computed level analysis of `lower` (the plan
+  /// persistence warm path) instead of re-running it; the merged schedule is
+  /// derived from it by the same budget loop.
   CusparseLikeSolver(Csr<T> lower, LevelSets levels,
-                     std::vector<index_t> kernel_first_level);
+                     index_t merge_component_budget = 2304);
 
   /// Installs the values of `lower` — which must have the matrix's exact
   /// sparsity structure — without touching the schedule.
@@ -66,13 +66,11 @@ class CusparseLikeSolver {
     return static_cast<index_t>(kernel_first_level_.size());
   }
 
-  /// The merged schedule itself (first level of each kernel) — captured by
-  /// the plan-persistence subsystem.
-  const std::vector<index_t>& kernel_first_levels() const {
-    return kernel_first_level_;
-  }
-
  private:
+  /// Packs consecutive levels into kernels until their combined component
+  /// count reaches the budget.
+  void merge_levels(index_t merge_component_budget);
+
   Csr<T> a_;
   LevelSets ls_;
   // kernel_first_level_[k] = first level of merged kernel k; levels

@@ -39,19 +39,6 @@ SyncFreeSolver<T>::SyncFreeSolver(const Csr<T>& lower, ThreadPool* pool) {
 }
 
 template <class T>
-SyncFreeSolver<T>::SyncFreeSolver(Csc<T> csc, Csr<T> strict_rows,
-                                  std::vector<index_t> in_degree)
-    : csc_(std::move(csc)),
-      strict_rows_(std::move(strict_rows)),
-      in_degree_(std::move(in_degree)) {
-  BLOCKTRI_CHECK_MSG(
-      csc_.nrows == csc_.ncols &&
-          strict_rows_.nrows == csc_.nrows &&
-          in_degree_.size() == static_cast<std::size_t>(csc_.nrows),
-      "SyncFreeSolver: adopted execution structure is inconsistent");
-}
-
-template <class T>
 void SyncFreeSolver<T>::refresh_values(const Csr<T>& lower) {
   BLOCKTRI_CHECK_MSG(lower.nrows == csc_.nrows && lower.nnz() == csc_.nnz(),
                      "SyncFreeSolver::refresh_values: structure differs");

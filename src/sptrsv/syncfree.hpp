@@ -32,12 +32,6 @@ class SyncFreeSolver {
   /// parallelises the CSC conversion and in-degree pass; it is not retained.
   explicit SyncFreeSolver(const Csr<T>& lower, ThreadPool* pool = nullptr);
 
-  /// Rehydration constructor for the plan-persistence subsystem: adopts the
-  /// previously built CSC execution structure, strict-lower dependency rows
-  /// and in-degree counts instead of recomputing them.
-  SyncFreeSolver(Csc<T> csc, Csr<T> strict_rows,
-                 std::vector<index_t> in_degree);
-
   /// Installs the values of `lower` — which must have the matrix's exact
   /// sparsity structure (CSR, diagonal last in each row) — rewriting the CSC
   /// and strict-row value arrays in place without re-deriving structure.
@@ -84,8 +78,6 @@ class SyncFreeSolver {
                   const ExecControl* ctl = nullptr,
                   PanelLayout layout = PanelLayout::kColMajor) const;
 
-  const Csc<T>& matrix_csc() const { return csc_; }
-  const Csr<T>& strict_rows() const { return strict_rows_; }
   const std::vector<index_t>& in_degree() const { return in_degree_; }
 
   /// TESTING ONLY: adds `delta` to one row's in-degree counter, simulating

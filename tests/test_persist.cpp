@@ -1,11 +1,13 @@
-// Plan persistence & cache tests (ISSUE 4).
+// Plan persistence & cache tests.
 //
 // Contract under test: a solver rehydrated from a saved artifact or a warm
 // PlanCache hit is indistinguishable from the cold-built one — same plan,
 // bitwise-identical solves at every thread count — and performs ZERO
-// level-set analysis (asserted via level_analysis_count). Artifact defects
-// (truncation, bit rot, wrong version/precision/structure/options) must map
-// to typed Status codes, never a crash.
+// level-set analysis (asserted via level_analysis_count). The artifact holds
+// decisions plus one permuted matrix, never derived kernel storage (asserted
+// on the file size). Artifact defects (truncation, bit rot, wrong
+// version/precision/structure/options, decisions that disagree with the
+// matrix) must map to typed Status codes, never a crash.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -156,37 +158,35 @@ TEST(PersistRoundTrip, AllSchemesThreadsFloat) {
           "rt_f_" + to_string(scheme) + "_" + std::to_string(threads));
 }
 
-// --- Format version stamps (ISSUE 10) ---------------------------------------
+// --- Format version ---------------------------------------------------------
 //
-// Each file claims the OLDEST version that can describe it, so plain
-// artifacts stay byte-identical to (and loadable by) pre-color builds. The
-// color section is what forces a file to version 4; a recursive untuned
-// artifact must still stamp version 1 exactly as it did before the HBMC
-// scheme existed.
+// One format version is read and written. The decision-only layout (version
+// 5) replaced versions 1-4, whose readers were retired: those files carried
+// derived kernel storage this build no longer decodes.
 
-TEST(PersistVersion, UntunedNonHbmcStillStampsVersionOne) {
+TEST(PersistVersion, EveryArtifactStampsVersionFive) {
   const Csr<double> L = fixture<double>(0);
-  auto opt = small_block_options<double>();
-  std::unique_ptr<BlockSolver<double>> s;
-  ASSERT_TRUE(BlockSolver<double>::create(L, opt, &s).ok());
-  const std::string path = artifact_path("stamp_v1");
-  ASSERT_TRUE(s->save_artifact(path).ok());
-  const std::string bytes = read_file(path);
-  ASSERT_GT(bytes.size(), 8u);
-  EXPECT_EQ(bytes[4], 1);  // little-endian u32 version after the magic
-  EXPECT_EQ(bytes[5], 0);
-  PlanArtifact<double> art;
-  EXPECT_TRUE(load_artifact(path, &art).ok());
-  EXPECT_TRUE(art.plan.color_bounds.empty());
-  std::remove(path.c_str());
+  ASSERT_EQ(kArtifactFormatVersion, 5u);
+  for (BlockScheme scheme : {BlockScheme::kRecursive, BlockScheme::kColumn}) {
+    auto opt = small_block_options<double>(scheme);
+    std::unique_ptr<BlockSolver<double>> s;
+    ASSERT_TRUE(BlockSolver<double>::create(L, opt, &s).ok());
+    const std::string path = artifact_path("stamp_v5_" + to_string(scheme));
+    ASSERT_TRUE(s->save_artifact(path).ok());
+    const std::string bytes = read_file(path);
+    ASSERT_GT(bytes.size(), 8u);
+    EXPECT_EQ(bytes[4], 5);  // little-endian u32 version after the magic
+    EXPECT_EQ(bytes[5], 0);
+    std::remove(path.c_str());
+  }
 }
 
-TEST(PersistVersion, HbmcStampsVersionFourAndCarriesColors) {
+TEST(PersistVersion, HbmcStampsVersionFiveAndCarriesColors) {
   const Csr<double> L = fixture<double>(0);
   auto opt = small_block_options<double>(BlockScheme::kHbmc);
   std::unique_ptr<BlockSolver<double>> s;
   ASSERT_TRUE(BlockSolver<double>::create(L, opt, &s).ok());
-  const std::string path = artifact_path("stamp_v4");
+  const std::string path = artifact_path("stamp_hbmc");
   ASSERT_TRUE(s->save_artifact(path).ok());
   const std::string bytes = read_file(path);
   ASSERT_GT(bytes.size(), 8u);
@@ -330,6 +330,50 @@ TEST(PersistRoundTrip, VerifyDisabled) {
       &bad);
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
   std::remove(path.c_str());
+}
+
+// --- Derived storage stays out of the file --------------------------------
+//
+// The artifact holds one permuted CSR plus decisions, and every decision is
+// O(n): the permutation (4 B per row), the level_of and level_item arrays
+// of the level-scheduled leaves (8 B per row) and their level_ptr (at most
+// 8 B per row plus 8 per leaf), and per block at most 40 B of level_ptr
+// end, bounds, square extents, kinds, empty ratios, steps and wave
+// entries. The header,
+// section frames and counts fit in 1 KiB. A derived kernel structure of
+// the blocks (a CSC, a block CSR, a DCSR) costs an index and a value per
+// nonzero of its blocks on top and breaks the bound.
+
+template <class T>
+std::size_t size_bound(const BlockSolver<T>& s) {
+  const auto n = static_cast<std::size_t>(s.n());
+  const auto nnz = static_cast<std::size_t>(s.nnz());
+  const std::size_t csr =
+      (n + 1) * sizeof(offset_t) + nnz * (sizeof(index_t) + sizeof(T));
+  const std::size_t blocks =
+      s.plan().tri_bounds.size() + s.plan().squares.size() +
+      s.plan().color_bounds.size();
+  return csr + 20 * n + 40 * blocks + 1024;
+}
+
+TEST(PersistSize, FileIsOnePermutedCsrPlusLinearDecisions) {
+  for (int which : {0, 2})
+    for (BlockScheme scheme :
+         {BlockScheme::kRecursive, BlockScheme::kColumn, BlockScheme::kRow,
+          BlockScheme::kHbmc}) {
+      const Csr<double> L = fixture<double>(which);
+      auto opt = small_block_options<double>(scheme);
+      std::unique_ptr<BlockSolver<double>> s;
+      ASSERT_TRUE(BlockSolver<double>::create(L, opt, &s).ok());
+      const std::string path =
+          artifact_path("size_" + to_string(scheme) + std::to_string(which));
+      ASSERT_TRUE(s->save_artifact(path).ok());
+      const std::size_t size = read_file(path).size();
+      EXPECT_LE(size, size_bound(*s))
+          << to_string(scheme) << " fixture " << which << ": " << size
+          << " bytes";
+      std::remove(path.c_str());
+    }
 }
 
 // --- refresh_values --------------------------------------------------------
@@ -713,6 +757,16 @@ TEST_F(PersistFault, ZeroVersion) {
   EXPECT_EQ(load_mutated(b).code(), StatusCode::kVersionMismatch);
 }
 
+TEST_F(PersistFault, RetiredVersionsAreVersionMismatch) {
+  // Versions 1-4 stored derived kernel storage; their readers are retired.
+  for (char v : {1, 2, 3, 4}) {
+    std::string b = bytes_;
+    b[4] = v;
+    EXPECT_EQ(load_mutated(b).code(), StatusCode::kVersionMismatch)
+        << "version " << int{v};
+  }
+}
+
 TEST_F(PersistFault, WrongValueWidth) {
   // Loading a double artifact as float must fail typed, not misread.
   write_file(path_, bytes_);
@@ -810,11 +864,11 @@ TEST_F(PersistFault, ReadErrorIsIoErrorNotTruncated) {
 
 // --- Semantic corruption: CRC-valid but hostile contents --------------------
 //
-// The executors index with artifact contents unchecked (permute_vector
-// writes out[new_of_old[i]], spmv writes y[row_ids[r]], kernels read
-// x[col_idx[k]], the sync-free busy-wait counts down in_degree), so
-// validate_artifact must prove every stored index in-bounds and every
-// invariant the kernels assume. Each test corrupts ONE field of a
+// Rehydration derives every kernel structure from the stored matrix and the
+// executors index with plan contents unchecked (permute_vector writes
+// out[new_of_old[i]], kernels read x[col_idx[k]]), so validate_artifact must
+// prove the stored matrix a well-formed lower triangle and every decision
+// consistent with it. Each test corrupts ONE field of a
 // legitimately captured artifact and expects the typed kBadFormat rejection
 // from both validate_artifact and the rehydration entry point — never a
 // crash, never a silently wrong solver.
@@ -872,49 +926,75 @@ TEST_F(PersistSemantic, PermutationTargetOutOfRange) {
   expect_rejected(std::move(art), "permutation target out of range");
 }
 
-TEST_F(PersistSemantic, SquareCsrColumnOutOfRange) {
+TEST_F(PersistSemantic, StoredColumnOutOfRange) {
   auto art = capture(TriKernelKind::kSyncFree, SpmvKernelKind::kScalarCsr);
-  for (auto& b : art.squares) {
-    if (b.csr.col_idx.empty()) continue;
-    b.csr.col_idx[0] = b.csr.ncols;  // kernels would read x[ncols]
-    expect_rejected(std::move(art), "square CSR column out of range");
-    return;
-  }
-  GTEST_SKIP() << "fixture produced no non-empty CSR square";
+  ASSERT_FALSE(art.stored.col_idx.empty());
+  art.stored.col_idx[0] = -1;  // extract_block would read x[-1]
+  expect_rejected(std::move(art), "stored column out of range");
 }
 
-TEST_F(PersistSemantic, DcsrRowIdOutOfRange) {
-  auto art = capture(TriKernelKind::kSyncFree, SpmvKernelKind::kVectorDcsr);
-  for (auto& b : art.squares) {
-    if (b.dcsr.row_ids.empty()) continue;
-    b.dcsr.row_ids[0] = b.dcsr.nrows;  // spmv would write y[nrows]
-    expect_rejected(std::move(art), "DCSR row id out of range");
-    return;
-  }
-  GTEST_SKIP() << "fixture produced no non-empty DCSR square";
+TEST_F(PersistSemantic, StoredEntryAboveDiagonal) {
+  auto art = capture(TriKernelKind::kSyncFree, SpmvKernelKind::kScalarCsr);
+  // Row 0 holds only its diagonal; pointing it one column right puts an
+  // entry above the diagonal (and leaves the row without one).
+  ASSERT_EQ(art.stored.row_ptr[1], 1);
+  art.stored.col_idx[0] = 1;
+  expect_rejected(std::move(art), "stored entry above the diagonal");
 }
 
 TEST_F(PersistSemantic, LevelItemOutOfRange) {
   auto art = capture(TriKernelKind::kLevelSet, SpmvKernelKind::kScalarCsr);
-  for (auto& b : art.tri) {
+  for (std::size_t t = 0; t < art.tri.size(); ++t) {
+    auto& b = art.tri[t];
     if (b.kind != TriKernelKind::kLevelSet || b.levels.level_item.empty())
       continue;
-    b.levels.level_item[0] = b.r1 - b.r0;  // solver reads rows[len]
+    // The solver would read rows[len].
+    b.levels.level_item[0] = art.plan.tri_bounds[t + 1] - art.plan.tri_bounds[t];
     expect_rejected(std::move(art), "level item out of range");
     return;
   }
   GTEST_SKIP() << "fixture produced no level-set block";
 }
 
-TEST_F(PersistSemantic, SyncFreeInDegreeMismatch) {
-  auto art = capture(TriKernelKind::kSyncFree, SpmvKernelKind::kScalarCsr);
+// Well-shaped level sets that are not a schedule of their block: one row of
+// level 1 swaps slots with one of level 0 (level_of updated to match, so
+// every shape and range check passes). The promoted row depends on a level-0
+// row, so it would be solved before its input — a silently wrong answer.
+TEST_F(PersistSemantic, LevelSetsThatAreNotAScheduleAreRejected) {
+  L_ = gen::laplace3d(6, 6, 6, 1);
+  opt_ = small_block_options<double>(BlockScheme::kRow);
+  opt_.planner.nseg = 2;
+  opt_.adaptive = false;
+  opt_.forced_tri = TriKernelKind::kLevelSet;
+  std::unique_ptr<BlockSolver<double>> s;
+  ASSERT_TRUE(BlockSolver<double>::create(L_, opt_, &s).ok());
+  PlanArtifact<double> art = s->capture_artifact();
+  ASSERT_TRUE(validate_artifact(art).ok());
   for (auto& b : art.tri) {
-    if (b.kind != TriKernelKind::kSyncFree || b.in_degree.empty()) continue;
-    ++b.in_degree[0];  // busy-wait would never see the count reach zero
-    expect_rejected(std::move(art), "in-degree disagrees with strict rows");
+    LevelSets& ls = b.levels;
+    if (b.kind != TriKernelKind::kLevelSet || ls.nlevels < 2) continue;
+    const auto last0 = static_cast<std::size_t>(ls.level_ptr[1] - 1);
+    const auto first1 = static_cast<std::size_t>(ls.level_ptr[1]);
+    std::swap(ls.level_item[last0], ls.level_item[first1]);
+    ls.level_of[static_cast<std::size_t>(ls.level_item[last0])] = 0;
+    ls.level_of[static_cast<std::size_t>(ls.level_item[first1])] = 1;
+    expect_rejected(std::move(art), "level sets are not a schedule");
     return;
   }
-  GTEST_SKIP() << "fixture produced no sync-free block";
+  FAIL() << "fixture produced no multi-level level-set block";
+}
+
+TEST_F(PersistSemantic, CompletelyParallelBlockMustBeDiagonal) {
+  auto art = capture(TriKernelKind::kSyncFree, SpmvKernelKind::kScalarCsr);
+  for (std::size_t t = 0; t < art.tri.size(); ++t) {
+    if (art.tri[t].nlevels < 2) continue;
+    // The diagonal kernel would ignore this block's off-diagonal entries.
+    art.tri[t].kind = TriKernelKind::kCompletelyParallel;
+    art.tri[t].nlevels = 1;
+    expect_rejected(std::move(art), "completely-parallel block not diagonal");
+    return;
+  }
+  GTEST_SKIP() << "fixture produced no multi-level block";
 }
 
 TEST_F(PersistSemantic, GarbageStepKind) {

@@ -560,6 +560,28 @@ TEST_F(ArtifactRetry, PermanentErrorsAreNotRetried) {
   EXPECT_EQ(st.code(), StatusCode::kBadFormat);
 }
 
+// The backoff factor 2^(attempt-1) was once an int shift: negative at 33
+// attempts, undefined beyond. It is now floating point with a capped
+// exponent, so a long retry budget simply runs to success.
+TEST_F(ArtifactRetry, FortyAttemptsWithZeroBackoffSucceed) {
+  const Csr<double> L = fixture();
+  Opt opt = base_options();
+  opt.session.artifact_retry_attempts = 40;
+  opt.session.artifact_retry_backoff_ms = 0.0;
+  std::unique_ptr<BlockSolver<double>> cold;
+  ASSERT_TRUE(BlockSolver<double>::create(L, opt, &cold).ok());
+  ASSERT_TRUE(cold->save_artifact(path_).ok());
+
+  persist_testing::force_io_failures(39);  // only the 40th attempt lands
+  std::unique_ptr<BlockSolver<double>> warm;
+  const Status st =
+      BlockSolver<double>::create_from_file(path_, L, opt, &warm);
+  ASSERT_TRUE(st.ok()) << st.to_string();
+  EXPECT_EQ(persist_testing::pending_io_failures(), 0);
+  const auto b = gen::random_rhs<double>(L.nrows, 6);
+  EXPECT_EQ(warm->solve(b), cold->solve(b));
+}
+
 // --- Plan-cache quarantine --------------------------------------------------
 
 std::shared_ptr<const PlanArtifact<double>> artifact_for(

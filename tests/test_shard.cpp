@@ -131,7 +131,7 @@ TEST(ShardPlan, ShardCountClampsToLeafCount) {
   EXPECT_EQ(bounds.size(), 2u);
 }
 
-TEST(ShardPlan, SliceValidatesAndRoundTripsAsFormatV3) {
+TEST(ShardPlan, SliceValidatesAndRoundTrips) {
   std::unique_ptr<BlockSolver<double>> solver;
   ASSERT_TRUE(BlockSolver<double>::create(fixture(), base_options(), &solver)
                   .ok());
@@ -145,7 +145,10 @@ TEST(ShardPlan, SliceValidatesAndRoundTripsAsFormatV3) {
     PlanArtifact<double> slice =
         shard::slice_shard_artifact(art, bounds, i, art.options);
     EXPECT_TRUE(slice.shard);
-    EXPECT_FALSE(slice.verify_captured);
+    // Decisions are global; only the matrix is cut to the shard's rows.
+    EXPECT_EQ(slice.tri.size(), art.tri.size());
+    EXPECT_EQ(slice.stored.nrows, bounds[static_cast<std::size_t>(i) + 1] -
+                                      bounds[static_cast<std::size_t>(i)]);
     Status st = validate_artifact(slice);
     ASSERT_TRUE(st.ok()) << "shard " << i << ": " << st.to_string();
 
@@ -161,11 +164,10 @@ TEST(ShardPlan, SliceValidatesAndRoundTripsAsFormatV3) {
   ::unlink(path.c_str());
 }
 
-TEST(ShardPlan, HbmcSliceCarriesColorBoundsThroughFormatV4) {
+TEST(ShardPlan, HbmcSliceCarriesColorBounds) {
   // The color record rides the shared plan into every slice: a sharded HBMC
-  // slice file stamps format 4 and rehydrates with the color bounds intact,
-  // and the shard cuts themselves land on HBMC block bounds (all of which
-  // are tri_bounds).
+  // slice file rehydrates with the color bounds intact, and the shard cuts
+  // themselves land on HBMC block bounds (all of which are tri_bounds).
   std::unique_ptr<BlockSolver<double>> solver;
   ASSERT_TRUE(BlockSolver<double>::create(fixture(),
                                           base_options(BlockScheme::kHbmc),
@@ -204,6 +206,24 @@ TEST(ShardPlan, ValidateRejectsACutInsideALeaf) {
   slice.shard_bounds[1] += 1;
   slice.shard_row_end += 1;
   EXPECT_FALSE(validate_artifact(slice).ok());
+}
+
+TEST(ShardPlan, ValidateRejectsStoredRowsOfAnotherShard) {
+  std::unique_ptr<BlockSolver<double>> solver;
+  ASSERT_TRUE(BlockSolver<double>::create(fixture(), base_options(), &solver)
+                  .ok());
+  const PlanArtifact<double> art = solver->capture_artifact();
+  const std::vector<index_t> bounds = shard::compute_shard_cuts(art, 2);
+  ASSERT_EQ(bounds.size(), 3u);
+  PlanArtifact<double> slice =
+      shard::slice_shard_artifact(art, bounds, 0, art.options);
+  ASSERT_TRUE(validate_artifact(slice).ok());
+  // The stored rows must be exactly the slice's range of the cut: shard 1's
+  // rows under shard 0's bounds would build shard 0's blocks from the wrong
+  // matrix rows.
+  slice.stored =
+      shard::slice_shard_artifact(art, bounds, 1, art.options).stored;
+  EXPECT_EQ(validate_artifact(slice).code(), StatusCode::kBadFormat);
 }
 
 TEST(ShardPlan, LocalSchedulesPartitionThePlanExactly) {
