@@ -9,13 +9,22 @@ namespace blocktri {
 template <class T>
 Csr<T> permute_symmetric(const Csr<T>& a,
                          const std::vector<index_t>& new_of_old) {
+  Csr<T> out;
+  permute_symmetric_into(a, new_of_old, &out);
+  return out;
+}
+
+template <class T>
+void permute_symmetric_into(const Csr<T>& a,
+                            const std::vector<index_t>& new_of_old,
+                            Csr<T>* out_ptr) {
   BLOCKTRI_CHECK(a.nrows == a.ncols);
   BLOCKTRI_CHECK(new_of_old.size() == static_cast<std::size_t>(a.nrows));
   BLOCKTRI_CHECK_MSG(is_permutation_of_iota(new_of_old),
                      "new_of_old is not a permutation");
   const std::vector<index_t> old_of_new = invert_permutation(new_of_old);
 
-  Csr<T> out;
+  Csr<T>& out = *out_ptr;
   out.nrows = a.nrows;
   out.ncols = a.ncols;
   out.row_ptr.assign(static_cast<std::size_t>(a.nrows) + 1, 0);
@@ -47,7 +56,6 @@ Csr<T> permute_symmetric(const Csr<T>& a,
       ++at;
     }
   }
-  return out;
 }
 
 template <class T>
@@ -73,6 +81,9 @@ std::vector<T> unpermute_vector(const std::vector<T>& v,
 #define BLOCKTRI_INSTANTIATE(T)                                           \
   template Csr<T> permute_symmetric(const Csr<T>&,                        \
                                     const std::vector<index_t>&);         \
+  template void permute_symmetric_into(const Csr<T>&,                     \
+                                       const std::vector<index_t>&,       \
+                                       Csr<T>*);                          \
   template std::vector<T> permute_vector(const std::vector<T>&,           \
                                          const std::vector<index_t>&);    \
   template std::vector<T> unpermute_vector(const std::vector<T>&,         \

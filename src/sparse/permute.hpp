@@ -14,6 +14,13 @@ namespace blocktri {
 template <class T>
 Csr<T> permute_symmetric(const Csr<T>& a, const std::vector<index_t>& new_of_old);
 
+/// permute_symmetric into `*out`, reusing its storage: a value refresh of a
+/// fixed pattern then allocates nothing for the matrix itself.
+template <class T>
+void permute_symmetric_into(const Csr<T>& a,
+                            const std::vector<index_t>& new_of_old,
+                            Csr<T>* out);
+
 /// Permutes a dense vector to match permute_symmetric:
 /// out[new_of_old[i]] = v[i].
 template <class T>
