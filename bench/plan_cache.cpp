@@ -6,11 +6,13 @@
 // ready solver for a pattern that has been analyzed before:
 //
 //   cold_ms      create() from scratch — full planning + level analyses
-//   load_ms      create_from_file(): deserialize + validate + build the
-//                blocks from permute_symmetric(lower) and the decisions
+//   load_ms      create_from_file(): deserialize + validate + gather
+//                lower's values onto the stored pattern + build the blocks
+//                from it and the decisions
 //   hit_ms       create(..., &cache) on a warm PlanCache hit
 //   refresh_ms   refresh_values() on a live solver (new factorization,
-//                same pattern — the timestep-loop case)
+//                same pattern — the timestep-loop case; the value-only
+//                pass, its source map already built by an earlier call)
 //
 // and reports warm/cold ratios of (create + one solve), the quantity a
 // request-serving loop sees. Acceptance: on the recursive scheme the warm
@@ -162,6 +164,7 @@ int main(int argc, char** argv) {
       {"recursive", BlockScheme::kRecursive},
       {"column", BlockScheme::kColumn},
       {"row", BlockScheme::kRow},
+      {"hbmc", BlockScheme::kHbmc},
   };
 
   std::vector<Record> recs;

@@ -40,11 +40,13 @@
 
 namespace blocktri {
 
-/// The one on-disk format version this build reads and writes. Version 5
-/// is the first that stores decisions plus one permuted matrix; versions 1-4
-/// persisted every derived kernel structure and are no longer read (they
-/// fail with kVersionMismatch — recapture the plan from the matrix).
-inline constexpr std::uint32_t kArtifactFormatVersion = 5;
+/// The one on-disk format version this build reads and writes. Version 6
+/// has version 5's layout (decisions plus one permuted matrix) and keys it
+/// by the word-wise structure_hash; versions 1-4 persisted every derived
+/// kernel structure and version 5 carries the retired byte-serial hash, so
+/// neither is read (they fail with kVersionMismatch — recapture the plan
+/// from the matrix).
+inline constexpr std::uint32_t kArtifactFormatVersion = 6;
 
 /// What preprocessing decided for one triangular leaf (rows
 /// plan.tri_bounds[t] .. plan.tri_bounds[t + 1]). `levels` is kept for the

@@ -14,6 +14,7 @@
 // Fig. 7); all structural algorithms live in convert/permute/triangular.
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "common/types.hpp"
@@ -93,5 +94,19 @@ template <class T>
 bool equals(const Csc<T>& a, const Csc<T>& b);
 template <class T>
 bool equals(const Dcsr<T>& a, const Dcsr<T>& b);
+
+/// Value-only refresh of a block whose rows are runs of a parent matrix's
+/// rows: row r of the block (the rows of `row_ptr`, which may be a DCSR's
+/// non-empty rows) receives the row_ptr[r+1] - row_ptr[r] values of `src`
+/// that end at src_end[r]. A lower triangle cut on the diagonal is the tail
+/// of each parent row, so its src_end is the parent's row_ptr shifted by one.
+template <class T>
+void copy_row_tails(const std::vector<offset_t>& row_ptr, const T* src,
+                    const offset_t* src_end, T* dst) {
+  for (std::size_t r = 0; r + 1 < row_ptr.size(); ++r) {
+    const offset_t len = row_ptr[r + 1] - row_ptr[r];
+    std::copy(src + (src_end[r] - len), src + src_end[r], dst + row_ptr[r]);
+  }
+}
 
 }  // namespace blocktri

@@ -59,11 +59,9 @@ void CusparseLikeSolver<T>::merge_levels(index_t merge_component_budget) {
 }
 
 template <class T>
-void CusparseLikeSolver<T>::refresh_values(const Csr<T>& lower) {
-  BLOCKTRI_CHECK_MSG(lower.nrows == a_.nrows && lower.row_ptr == a_.row_ptr &&
-                         lower.col_idx == a_.col_idx,
-                     "CusparseLikeSolver::refresh_values: structure differs");
-  a_.val = lower.val;
+void CusparseLikeSolver<T>::refresh_values(const T* src,
+                                           const offset_t* src_end) {
+  copy_row_tails(a_.row_ptr, src, src_end, a_.val.data());
 }
 
 template <class T>

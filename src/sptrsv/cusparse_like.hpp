@@ -37,9 +37,9 @@ class CusparseLikeSolver {
   CusparseLikeSolver(Csr<T> lower, LevelSets levels,
                      index_t merge_component_budget = 2304);
 
-  /// Installs the values of `lower` — which must have the matrix's exact
-  /// sparsity structure — without touching the schedule.
-  void refresh_values(const Csr<T>& lower);
+  /// Installs new values for the matrix's fixed structure without touching
+  /// the schedule; `src`/`src_end` as in LevelSetSolver::refresh_values.
+  void refresh_values(const T* src, const offset_t* src_end);
 
   /// `ctl` is the solve session's cooperative control. The host path is one
   /// flat pass with no natural barriers, so when a deadline or cancel token

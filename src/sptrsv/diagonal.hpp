@@ -42,12 +42,12 @@ class DiagonalSolver {
   /// The dense diagonal — captured by the plan-persistence subsystem.
   const std::vector<T>& diag() const { return diag_; }
 
-  /// Installs a new diagonal of the same length (value refresh for repeated
-  /// factorizations with a fixed pattern).
-  void refresh_values(std::vector<T> diag) {
-    BLOCKTRI_CHECK_MSG(diag.size() == diag_.size(),
-                       "DiagonalSolver::refresh_values: length differs");
-    diag_ = std::move(diag);
+  /// Installs a new diagonal (value refresh for repeated factorizations
+  /// with a fixed pattern): entry i is src[src_end[i] - 1], the last value
+  /// of row i of a lower triangle laid out as in copy_row_tails.
+  void refresh_values(const T* src, const offset_t* src_end) {
+    for (std::size_t i = 0; i < diag_.size(); ++i)
+      diag_[i] = src[src_end[i] - 1];
   }
 
  private:

@@ -65,11 +65,8 @@ LevelSetSolver<T>::LevelSetSolver(Csr<T> lower, LevelSets levels,
 }
 
 template <class T>
-void LevelSetSolver<T>::refresh_values(const Csr<T>& lower) {
-  BLOCKTRI_CHECK_MSG(lower.nrows == a_.nrows && lower.row_ptr == a_.row_ptr &&
-                         lower.col_idx == a_.col_idx,
-                     "LevelSetSolver::refresh_values: structure differs");
-  a_.val = lower.val;
+void LevelSetSolver<T>::refresh_values(const T* src, const offset_t* src_end) {
+  copy_row_tails(a_.row_ptr, src, src_end, a_.val.data());
 }
 
 template <class T>

@@ -49,10 +49,12 @@ class LevelSetSolver {
   LevelSetSolver(Csr<T> lower, LevelSets levels,
                  offset_t merge_max_width = kLevelMergeMaxWidth);
 
-  /// Installs the values of `lower` — which must have the matrix's exact
-  /// sparsity structure — without touching the level analysis. The hot path
-  /// for repeated factorizations with a fixed pattern.
-  void refresh_values(const Csr<T>& lower);
+  /// Installs new values for the matrix's fixed structure without touching
+  /// the level analysis — the hot path for repeated factorizations with a
+  /// fixed pattern. Row i's values are the row_nnz(i) entries of `src` that
+  /// end at src_end[i] (copy_row_tails); for a whole CSR with this pattern
+  /// that is (val.data(), row_ptr.data() + 1).
+  void refresh_values(const T* src, const offset_t* src_end);
 
   /// Solve phase (Alg. 2 lines 12–22). One kernel launch per level when
   /// simulation is active. With a pool (and no simulation), the rows of each

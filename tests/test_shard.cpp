@@ -226,6 +226,41 @@ TEST(ShardPlan, ValidateRejectsStoredRowsOfAnotherShard) {
   EXPECT_EQ(validate_artifact(slice).code(), StatusCode::kBadFormat);
 }
 
+TEST(ShardPlan, SliceRefreshMatchesTheColdSliceOfTheNewValues) {
+  // A slice solver holds only its shard's rows: a refresh must rewrite those
+  // rows (and skip the foreign leaves it built no kernel for), leaving
+  // exactly the slice a cold build on the new values would cut.
+  const Csr<double> A = fixture();
+  Csr<double> B = A;
+  for (std::size_t i = 0; i < B.val.size(); ++i)
+    B.val[i] *= 1.0 + 0.001 * static_cast<double>(i % 89);
+  std::unique_ptr<BlockSolver<double>> cold_a, cold_b;
+  ASSERT_TRUE(BlockSolver<double>::create(A, base_options(), &cold_a).ok());
+  ASSERT_TRUE(BlockSolver<double>::create(B, base_options(), &cold_b).ok());
+  const PlanArtifact<double> art_a = cold_a->capture_artifact();
+  const PlanArtifact<double> art_b = cold_b->capture_artifact();
+  const std::vector<index_t> bounds = shard::compute_shard_cuts(art_a, 3);
+  ASSERT_GE(bounds.size(), 3u);
+
+  for (int i = 0; i + 1 < static_cast<int>(bounds.size()); ++i) {
+    SCOPED_TRACE("shard " + std::to_string(i));
+    std::unique_ptr<BlockSolver<double>> slice;
+    ASSERT_TRUE(BlockSolver<double>::create_from_artifact(
+                    std::make_shared<PlanArtifact<double>>(
+                        shard::slice_shard_artifact(art_a, bounds, i,
+                                                    art_a.options)),
+                    base_options(), &slice)
+                    .ok());
+    ASSERT_TRUE(slice->refresh_values(B).ok());
+    const Csr<double> got = slice->capture_artifact().stored;
+    const Csr<double> want =
+        shard::slice_shard_artifact(art_b, bounds, i, art_b.options).stored;
+    EXPECT_EQ(got.row_ptr, want.row_ptr);
+    EXPECT_EQ(got.col_idx, want.col_idx);
+    EXPECT_EQ(got.val, want.val);
+  }
+}
+
 TEST(ShardPlan, LocalSchedulesPartitionThePlanExactly) {
   std::unique_ptr<BlockSolver<double>> solver;
   ASSERT_TRUE(BlockSolver<double>::create(fixture(), base_options(), &solver)
